@@ -13,23 +13,23 @@
 //! **byte-identical** [`FtRunReport`] through both engines.
 //!
 //! Do not "improve" this module: its value is being frozen. It shares
-//! only the leaf helpers (`detector_of`, `allocation_of`, `unsplice`,
-//! `healthy_report`, `apply_message_faults`) with the live engine; all
+//! only leaf helpers with the live engine — the chain topology's
+//! detection rule, survivor splice, bid chain, residual allocation and
+//! honest Phase IV bill (`Topology::{detector, without, bid_net,
+//! allocation, billing}`), the engine's `healthy_report` and
+//! `apply_message_faults`, and `Ledger::without_entries_of`; all
 //! orchestration logic is duplicated on purpose.
 
 use crate::crypto::NodeId;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::ft_runner::{
-    allocation_of, apply_message_faults, detector_of, healthy_report, unsplice, FtError,
-    FtRunReport,
-};
+use crate::ft_engine::{apply_message_faults, healthy_report, originals, BaseRun, Topology};
+use crate::ft_runner::{FtError, FtRunReport};
 use crate::ledger::{EntryKind, Ledger};
 use crate::root::{arbitrate_unresponsive, ArbitrationRecord};
-use crate::runner::{try_run, RunReport, Scenario};
+use crate::runner::{try_run, Scenario};
 use crate::transcript::{Entry, Transcript};
 use dlt::linear;
-use dlt::model::LinearNetwork;
-use mechanism::payment::{self, PaymentInputs};
+use mechanism::payment;
 
 /// Execute `scenario` under a **single-failure** `plan` through the
 /// original PR 1 recovery path.
@@ -51,11 +51,11 @@ pub fn run_with_faults_single(
     let n = m + 1;
     let timeout = plan.detection_timeout;
 
-    let base = try_run(scenario)?;
+    let base = BaseRun::from(try_run(scenario)?);
     let identity_map: Vec<Option<usize>> = (0..n).map(Some).collect();
 
     let mut report = match plan.halting_fault() {
-        None => healthy_report(scenario, &base, identity_map),
+        None => healthy_report(base),
         Some((
             k,
             FaultKind::Crash {
@@ -74,7 +74,7 @@ pub fn run_with_faults_single(
         Some((_, _)) => unreachable!("halting_fault returns only Crash/Stall"),
     };
 
-    apply_message_faults(&mut report, plan, m);
+    apply_message_faults(scenario, &mut report, plan);
     Ok(report)
 }
 
@@ -82,24 +82,15 @@ pub fn run_with_faults_single(
 /// whole protocol on the survivor chain, then renumber back.
 fn pre_distribution_crash(
     scenario: &Scenario,
-    base: &RunReport,
+    base: &BaseRun,
     k: NodeId,
     phase: u8,
     timeout: f64,
 ) -> Result<FtRunReport, FtError> {
     let m = scenario.num_agents();
     let n = m + 1;
-    let splice_map: Vec<Option<usize>> = (0..n)
-        .map(|i| {
-            if i == k {
-                None
-            } else {
-                Some(if i < k { i } else { i - 1 })
-            }
-        })
-        .collect();
 
-    let detector = detector_of(k, phase, m);
+    let detector = scenario.detector(k, phase);
     let mut transcript = Transcript::new();
     transcript.record(Entry::Timeout {
         detector,
@@ -150,7 +141,7 @@ fn pre_distribution_crash(
             ledger: Ledger::new(),
             net_utilities: vec![0.0],
             transcript,
-            splice_map,
+            splice_map: vec![Some(0), None],
             events: 0,
             timeline,
         });
@@ -158,22 +149,8 @@ fn pre_distribution_crash(
 
     // Splice the chain of *true* rates; bids re-derive from the surviving
     // nodes' deviations inside the inner run.
-    let mut w = vec![scenario.root_rate];
-    w.extend_from_slice(&scenario.true_rates);
-    let spliced = linear::splice(&LinearNetwork::from_rates(&w, &scenario.link_rates), k);
-    let mut deviations = scenario.deviations.clone();
-    deviations.remove(k - 1);
-    let inner_scenario = Scenario {
-        root_rate: scenario.root_rate,
-        true_rates: spliced.rates_w()[1..].to_vec(),
-        link_rates: spliced.rates_z().to_vec(),
-        deviations,
-        fine: scenario.fine,
-        blocks: scenario.blocks,
-        seed: scenario.seed,
-        solution_bonus: scenario.solution_bonus,
-        solution_found: scenario.solution_found,
-    };
+    let (inner_scenario, splice_map) = scenario.without(k);
+    let orig_of = originals(&splice_map);
     let inner = try_run(&inner_scenario)?;
     let recovery_span = clock.advance(inner.makespan);
     // The survivor protocol's Phase III work, shifted past the timeout and
@@ -181,7 +158,7 @@ fn pre_distribution_crash(
     for s in inner.timeline.of(obs::TimelineKind::Work) {
         if s.phase == 3 {
             timeline.push(
-                unsplice(s.node, k),
+                orig_of[s.node],
                 3,
                 obs::TimelineKind::Recovery,
                 (recovery_span.0 + s.start, recovery_span.0 + s.end),
@@ -198,7 +175,7 @@ fn pre_distribution_crash(
             .assigned
             .iter()
             .enumerate()
-            .map(|(si, &a)| (unsplice(si, k), a))
+            .map(|(si, &a)| (orig_of[si], a))
             .collect(),
     });
     for e in inner.transcript.entries() {
@@ -209,21 +186,21 @@ fn pre_distribution_crash(
     let mut assigned = vec![0.0; n];
     let mut completed = vec![0.0; n];
     for si in 0..inner.assigned.len() {
-        assigned[unsplice(si, k)] = inner.assigned[si];
-        completed[unsplice(si, k)] = inner.retained[si];
+        assigned[orig_of[si]] = inner.assigned[si];
+        completed[orig_of[si]] = inner.retained[si];
     }
     let mut ledger = Ledger::new();
     for e in inner.ledger.entries() {
-        ledger.post(unsplice(e.node, k), e.kind, e.amount, e.phase);
+        ledger.post(orig_of[e.node], e.kind, e.amount, e.phase);
     }
     arbitrations.extend(inner.arbitrations.iter().map(|a| ArbitrationRecord {
-        claimant: unsplice(a.claimant, k),
-        accused: unsplice(a.accused, k),
+        claimant: orig_of[a.claimant],
+        accused: orig_of[a.accused],
         ..a.clone()
     }));
     let mut net_utilities = vec![0.0; m];
     for sj in 1..=m - 1 {
-        net_utilities[unsplice(sj, k) - 1] = inner.net_utilities[sj - 1];
+        net_utilities[orig_of[sj] - 1] = inner.net_utilities[sj - 1];
     }
 
     Ok(FtRunReport {
@@ -251,7 +228,7 @@ fn pre_distribution_crash(
 /// the survivors' recovery work at cost.
 fn mid_computation_halt(
     scenario: &Scenario,
-    base: &RunReport,
+    base: &BaseRun,
     k: NodeId,
     progress: f64,
     timeout: f64,
@@ -264,7 +241,7 @@ fn mid_computation_halt(
     let done_k = progress * base.retained[k];
     let residual = base.retained[k] - done_k;
 
-    let detector = detector_of(k, 3, m);
+    let detector = scenario.detector(k, 3);
     let mut transcript = base.transcript.clone();
     transcript.record(Entry::Timeout {
         detector,
@@ -280,17 +257,15 @@ fn mid_computation_halt(
     let timeout_span = clock.advance(timeout);
 
     // Re-solve on the spliced *bid* chain, as any Phase II allocation.
-    let mut bid_w = vec![scenario.root_rate];
-    bid_w.extend_from_slice(&base.bids);
-    let spliced = linear::splice(&LinearNetwork::from_rates(&bid_w, &scenario.link_rates), k);
-    let (per_unit_makespan, shares) = allocation_of(&spliced);
+    let spliced = linear::splice(&scenario.bid_net(base), k);
+    let (per_unit_makespan, shares) = Scenario::allocation(&spliced);
 
     let mut completed = base.retained.clone();
     completed[k] = done_k;
     let mut recovery_assigned = vec![0.0; n];
     let mut reassigned = Vec::with_capacity(shares.len());
     for (si, &share) in shares.iter().enumerate() {
-        let orig = unsplice(si, k);
+        let orig = if si < k { si } else { si + 1 };
         let extra = residual * share;
         recovery_assigned[orig] = extra;
         completed[orig] += extra;
@@ -317,12 +292,7 @@ fn mid_computation_halt(
     // and any audit outcome of a bill it never submitted) is replaced by
     // pro-rata compensation; survivors are paid their recovery work at
     // metered cost. Earlier-phase fines and rewards stand.
-    let mut ledger = Ledger::new();
-    for e in base.ledger.entries() {
-        if !(e.node == k && e.phase == 4) {
-            ledger.post(e.node, e.kind, e.amount, e.phase);
-        }
-    }
+    let mut ledger = base.ledger.without_entries_of(&[k], 4);
     let pro_rata = payment::pro_rata(done_k, actual_k);
     ledger.post(k, EntryKind::Payment, pro_rata.payment, 4);
     for j in 1..=m {
@@ -375,14 +345,14 @@ fn mid_computation_halt(
 /// the node would have submitted.
 fn pre_billing_crash(
     scenario: &Scenario,
-    base: &RunReport,
+    base: &BaseRun,
     k: NodeId,
     timeout: f64,
     splice_map: Vec<Option<usize>>,
 ) -> FtRunReport {
     let m = scenario.num_agents();
     let n = m + 1;
-    let detector = detector_of(k, 4, m);
+    let detector = scenario.detector(k, 4);
     let mut transcript = base.transcript.clone();
     transcript.record(Entry::Timeout {
         detector,
@@ -398,35 +368,13 @@ fn pre_billing_crash(
     timeline.push(detector, 4, obs::TimelineKind::Timeout, timeout_span, 0.0);
     timeline.makespan = clock.now();
 
-    let mut bid_w = vec![scenario.root_rate];
-    bid_w.extend_from_slice(&base.bids);
-    let bid_net = LinearNetwork::from_rates(&bid_w, &scenario.link_rates);
-    let s = if scenario.solution_found {
-        scenario.solution_bonus
-    } else {
-        0.0
-    };
-    let honest = payment::settle(
-        &bid_net,
-        k,
-        PaymentInputs {
-            assigned_load: base.assigned[k],
-            actual_load: base.retained[k],
-            actual_rate: base.actual_rates[k - 1],
-        },
-        s,
-    );
+    let (honest_payment, honest_valuation) = scenario.billing(base)(k);
 
-    let mut ledger = Ledger::new();
-    for e in base.ledger.entries() {
-        if !(e.node == k && e.phase == 4) {
-            ledger.post(e.node, e.kind, e.amount, e.phase);
-        }
-    }
-    ledger.post(k, EntryKind::Payment, honest.payment, 4);
+    let mut ledger = base.ledger.without_entries_of(&[k], 4);
+    ledger.post(k, EntryKind::Payment, honest_payment, 4);
 
     let mut net_utilities = base.net_utilities.clone();
-    net_utilities[k - 1] = honest.valuation + ledger.net(k);
+    net_utilities[k - 1] = honest_valuation + ledger.net(k);
 
     FtRunReport {
         crashed: vec![k],

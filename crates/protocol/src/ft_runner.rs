@@ -1,62 +1,15 @@
-//! Fault-tolerant protocol execution: run a [`Scenario`] under an injected
-//! [`FaultPlan`] and recover via **chain splicing** — including cascading
-//! and simultaneous failures.
+//! Fault-tolerant protocol execution on chains: run a [`Scenario`] under
+//! an injected [`FaultPlan`] and recover from cascading and simultaneous
+//! failures via **chain splicing**.
 //!
-//! ### Recovery protocol
-//! When a strategic processor `P_k` halts (crash-stop in any phase, or a
-//! Phase III stall), a neighbour's detection timer fires, the root probes
-//! liveness, and recovery proceeds by *splicing* `P_k` out of the chain:
-//! the links `z_k` and `z_{k+1}` fuse into one store-and-forward hop of
-//! rate `z_k + z_{k+1}` ([`dlt::linear::splice`]), and the root re-solves
-//! the DLT allocation on the survivor chain for whatever load `P_k` left
-//! unprocessed.
-//!
-//! * Halt **before distribution** (Phases I–II): the whole unit load is
-//!   allocated over the survivor chain from scratch.
-//! * Halt **during computation** (Phase III, at progress `p`): the dead
-//!   node's residual `(1 − p)·α̃_k` is re-allocated over the survivors;
-//!   each survivor's recovery work is compensated at exactly its metered
-//!   cost, so recovery is utility-neutral for the survivors.
-//! * Halt **before billing** (Phase IV): all work is done; the root
-//!   settles the silent node's account from its own recomputation.
-//!
-//! The failed node is paid **pro rata** ([`mechanism::payment::pro_rata`])
-//! for the work it verifiably completed — made whole for its cost, but no
-//! bonus, since bonuses reward finishing the prescribed share.
-//!
-//! ### Cascading and simultaneous failures
-//! A plan may halt any number of *distinct* nodes. The halting faults
-//! resolve in [`FaultPlan::detection_order`] — ascending phase, plan order
-//! within a phase — and `dlt::linear::splice` composes, so each confirmed
-//! failure fuses its links and the survivor chain shrinks monotonically:
-//!
-//! * **Pre-distribution crashes** recurse: the first dead node is spliced
-//!   out, the survivors re-run Phases I–II among themselves, and the
-//!   remaining faults (renumbered to the spliced chain) are recovered
-//!   *inside* that re-run. The composed `splice_map` records the final
-//!   renumbering.
-//! * **Phase III halts** are serialized by the root: the first halt is
-//!   detected during the base computation round; each subsequent halt
-//!   strikes during the *latest recovery round* — the node has finished
-//!   all earlier rounds and its `progress` applies to its current
-//!   recovery assignment. A node that dies while performing recovery work
-//!   is settled pro rata on everything it completed (its own share plus
-//!   the recovery fraction it finished), **not** on its original Λ.
-//! * **Phase IV crashes** are simultaneous: the root's billing timers all
-//!   fire within one shared timeout window, and the batch of
-//!   `Complaint::Unresponsive` probes is arbitrated concurrently
-//!   ([`crate::root::arbitrate_concurrent_unresponsive`]) in detection
-//!   order.
-//!
-//! ### Extended Lemma 5.2
-//! Faults are operational, not strategic, so they are **no-fault**: across
-//! every injected fault — crash, stall, message drop, delay, corruption —
-//! no honest processor is ever fined. Timeout complaints resolve by
-//! liveness probe with a zero fine either way; corrupted messages are
-//! discarded *before* entering the transcript, so replay can never mistake
-//! line noise for a forged signature. Deviations remain finable exactly as
-//! in the fault-free protocol, and both layers compose: a deviant that
-//! later crashes keeps its earlier fines and loses its bonus.
+//! The recovery protocol is written once, for chains and trees, in the
+//! crate's recovery engine (`ft_engine`, whose module doc describes it).
+//! This module is the engine's chain topology: a dead `P_k` is cut by
+//! fusing the links `z_k` and `z_{k+1}` into one store-and-forward hop
+//! ([`dlt::linear::splice`]), a node's parent and first child are its
+//! predecessor and successor, residuals are re-solved on the spliced bid
+//! chain by the batch solver core, and a silent Phase IV node is
+//! re-settled by [`mechanism::payment::settle`].
 //!
 //! ### Determinism
 //! Given the same `(Scenario, FaultPlan)` pair the report is bit-identical
@@ -65,62 +18,18 @@
 //! to the PR 1 single-failure path, frozen as
 //! [`crate::ft_reference::run_with_faults_single`] and enforced by the
 //! `multi_fault` differential suite.
-//!
-//! ### Modelling simplifications
-//! Phase boundaries act as barriers: detection and recovery start after
-//! the fault-free schedule of the interrupted phase completes, and
-//! recovery rounds are barriers too — the next halt in detection order is
-//! confirmed only after the previous round's re-allocation is in flight.
-//! A node that halts in phase `p` is treated as absent from phase `p`
-//! onward *and* its earlier-phase message interplay is replayed on the
-//! spliced chain for pre-distribution halts (the survivors re-run Phases
-//! I–II among themselves). Recovery allocation is computed on the
-//! *reported* (bid) rates, like any Phase II allocation. After a
-//! pre-distribution splice the inner protocol transcript and ledger are
-//! renumbered back to the original chain indices via
-//! [`FtRunReport::splice_map`].
 
 use crate::crypto::NodeId;
-use crate::faults::{FaultError, FaultEvent, FaultKind, FaultPlan};
-use crate::ledger::{EntryKind, Ledger};
-use crate::root::{arbitrate_concurrent_unresponsive, arbitrate_unresponsive, ArbitrationRecord};
+use crate::faults::FaultPlan;
+pub use crate::ft_engine::FtError;
+use crate::ft_engine::{self, BaseRun, Topology};
+use crate::ledger::Ledger;
+use crate::root::ArbitrationRecord;
 use crate::runner::{try_run, RunReport, Scenario, ScenarioError};
-use crate::transcript::{Entry, Transcript};
+use crate::transcript::Transcript;
 use dlt::linear;
 use dlt::model::LinearNetwork;
-use mechanism::payment::{self, PaymentBreakdown, PaymentInputs};
-
-/// Why a fault-tolerant run could not start.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FtError {
-    /// The scenario itself is malformed.
-    Scenario(ScenarioError),
-    /// The fault plan is malformed (for this chain size).
-    Fault(FaultError),
-}
-
-impl std::fmt::Display for FtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FtError::Scenario(e) => write!(f, "invalid scenario: {e}"),
-            FtError::Fault(e) => write!(f, "invalid fault plan: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FtError {}
-
-impl From<ScenarioError> for FtError {
-    fn from(e: ScenarioError) -> Self {
-        FtError::Scenario(e)
-    }
-}
-
-impl From<FaultError> for FtError {
-    fn from(e: FaultError) -> Self {
-        FtError::Fault(e)
-    }
-}
+use mechanism::payment::{self, PaymentInputs};
 
 /// Everything a fault-tolerant run produced. All per-node vectors use the
 /// **original** chain indexing (`0` = root, length `m + 1` or `m`), even
@@ -177,568 +86,100 @@ pub struct FtRunReport {
     pub timeline: obs::PhaseTimeline,
 }
 
-impl FtRunReport {
-    /// Net utility of strategic processor `P_j` (original index).
-    pub fn utility(&self, j: usize) -> f64 {
-        self.net_utilities[j - 1]
-    }
-
-    /// True if the total finished load equals the unit workload.
-    pub fn load_conserved(&self, tol: f64) -> bool {
-        (self.completed.iter().sum::<f64>() - 1.0).abs() <= tol
-    }
-
-    /// Makespan overhead attributable to faults and recovery.
-    pub fn overhead(&self) -> f64 {
-        self.makespan - self.base_makespan
-    }
-
-    /// Fines actually paid by `P_j` (as a non-negative number).
-    pub fn fines_paid(&self, j: NodeId) -> f64 {
-        -(self.ledger.net_of(j, EntryKind::Fine)
-            + self.ledger.net_of(j, EntryKind::ExtraWorkPenalty))
-    }
-
-    /// All halted nodes (crashed and stalled), in detection order within
-    /// each group.
-    pub fn halted(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.crashed.iter().chain(self.stalled.iter()).copied()
-    }
-}
-
-/// Detection rule: who notices `P_k` going silent in `phase`. Phase I bids
-/// flow upward (the predecessor waits); Phase II allocations flow downward
-/// (the successor waits, the root for the terminal node); results and
-/// bills are awaited by the root.
-pub(crate) fn detector_of(k: NodeId, phase: u8, m: usize) -> NodeId {
-    match phase {
-        1 => k - 1,
-        2 if k < m => k + 1,
-        _ => 0,
-    }
-}
-
-/// Receiver of `P_v`'s outbound message in `phase` — `None` when the node
-/// sends nothing in that phase (the terminal node in Phases II–III).
-pub(crate) fn receiver_of(v: NodeId, phase: u8, m: usize) -> Option<NodeId> {
-    match phase {
-        1 => Some(v - 1),
-        2 | 3 => (v < m).then_some(v + 1),
-        _ => Some(0),
-    }
-}
-
-/// Per-unit-load makespan and absolute load shares of a (possibly
-/// root-only) network. Residual re-solves route through the batch solver
-/// core (`dlt::batch::solve_one`), which is bit-identical to the scalar
-/// `linear::solve` by construction — E20/E22 report bytes are unchanged.
-pub(crate) fn allocation_of(net: &LinearNetwork) -> (f64, Vec<f64>) {
-    if net.len() == 1 {
-        (net.w(0), vec![1.0])
-    } else {
-        let sol = dlt::batch::solve_one(net);
-        let shares: Vec<f64> = (0..net.len()).map(|i| sol.alloc.alpha(i)).collect();
-        (sol.makespan(), shares)
-    }
-}
-
-/// Map a post-splice index back to the original chain.
-pub(crate) fn unsplice(i: usize, dead: NodeId) -> usize {
-    if i < dead {
-        i
-    } else {
-        i + 1
-    }
-}
-
-/// Execute `scenario` under `plan`, recovering from the injected faults.
-pub fn run_with_faults(scenario: &Scenario, plan: &FaultPlan) -> Result<FtRunReport, FtError> {
-    scenario.validate()?;
-    let m = scenario.num_agents();
-    plan.validate(m)?;
-    let timeout = plan.detection_timeout;
-    let _ft_span = obs::span!("protocol.ft.run", "m" => m, "timeout" => timeout);
-
-    let base = try_run(scenario)?;
-    let queue = plan.detection_order();
-    let mut report = recover(scenario, &base, &queue, timeout)?;
-    apply_message_faults(&mut report, plan, m);
-    Ok(report)
-}
-
-/// Recover from the halting faults in `queue` (already in detection
-/// order). Pre-distribution crashes recurse — the survivors re-run the
-/// protocol and the remaining queue is recovered inside that re-run;
-/// Phase III/IV halts are serialized by
-/// [`compute_and_billing_recovery`].
-fn recover(
-    scenario: &Scenario,
-    base: &RunReport,
-    queue: &[FaultEvent],
-    timeout: f64,
-) -> Result<FtRunReport, FtError> {
-    let n = scenario.num_agents() + 1;
-    let identity_map: Vec<Option<usize>> = (0..n).map(Some).collect();
-    match queue.first() {
-        None => Ok(healthy_report(scenario, base, identity_map)),
-        Some(&FaultEvent {
-            node: k,
-            kind: FaultKind::Crash {
-                phase: p @ (1 | 2), ..
-            },
-        }) => pre_distribution_crash(scenario, base, k, p, &queue[1..], timeout),
-        // detection_order sorts by phase, so everything left is Phase
-        // III/IV: crashes at phase 3 or 4, and stalls.
-        _ => Ok(compute_and_billing_recovery(
-            scenario,
-            base,
-            queue,
-            timeout,
-            identity_map,
-        )),
-    }
-}
-
-/// No halting fault: the base run, wrapped.
-pub(crate) fn healthy_report(
-    scenario: &Scenario,
-    base: &RunReport,
-    splice_map: Vec<Option<usize>>,
-) -> FtRunReport {
-    let n = scenario.num_agents() + 1;
-    FtRunReport {
-        crashed: Vec::new(),
-        stalled: Vec::new(),
-        detected: Vec::new(),
-        assigned: base.assigned.clone(),
-        completed: base.retained.clone(),
-        recovered_load: 0.0,
-        recovery_assigned: vec![0.0; n],
-        makespan: base.makespan,
-        base_makespan: base.makespan,
-        arbitrations: base.arbitrations.clone(),
-        ledger: base.ledger.clone(),
-        net_utilities: base.net_utilities.clone(),
-        transcript: base.transcript.clone(),
-        splice_map,
-        events: base.events,
-        timeline: base.timeline.clone(),
-    }
-}
-
-/// Crash in Phase I or II: nothing was distributed; splice and re-run the
-/// whole protocol on the survivor chain — recovering the remaining faults
-/// of `rest` *inside* that re-run — then renumber back.
-fn pre_distribution_crash(
-    scenario: &Scenario,
-    base: &RunReport,
-    k: NodeId,
-    phase: u8,
-    rest: &[FaultEvent],
-    timeout: f64,
-) -> Result<FtRunReport, FtError> {
-    let m = scenario.num_agents();
-    let n = m + 1;
-
-    let detector = detector_of(k, phase, m);
-    let mut transcript = Transcript::new();
-    transcript.record(Entry::Timeout {
-        detector,
-        suspect: k,
-        phase,
-    });
-    let mut arbitrations = vec![arbitrate_unresponsive(detector, k, false)];
-    let mut detected = vec![(detector, k, phase)];
-
-    // Recovery restarts the whole schedule: the virtual clock begins at 0,
-    // waits out the detection timeout, then runs the survivor protocol.
-    let mut clock = obs::RunClock::new();
-    let timeout_span = clock.advance(timeout);
-    obs::count!("protocol.ft.detection_timeouts", "phase" => phase);
-    obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => phase);
-    obs::event!("protocol.ft.splice", vt = clock.now(), "dead" => k, "phase" => phase);
-    let mut timeline = obs::PhaseTimeline::new(n);
-    timeline.push(
-        detector,
-        phase,
-        obs::TimelineKind::Timeout,
-        timeout_span,
-        0.0,
-    );
-    timeline.mark(k, phase, obs::TimelineKind::Splice, timeout_span.1);
-
-    if m == 1 {
-        // No strategic survivor: the obedient root computes the whole unit
-        // load itself at rate w_0. (`rest` is necessarily empty — the only
-        // strategic node is the one that crashed.)
-        debug_assert!(rest.is_empty());
-        transcript.record(Entry::Recovery {
-            dead: k,
-            residual: 0.0,
-            reassigned: vec![(0, 1.0)],
-        });
-        let mut assigned = vec![0.0; n];
-        assigned[0] = 1.0;
-        let root_span = clock.advance(scenario.root_rate);
-        timeline.push(0, 3, obs::TimelineKind::Recovery, root_span, 1.0);
-        timeline.makespan = clock.now();
-        return Ok(FtRunReport {
-            crashed: vec![k],
-            stalled: Vec::new(),
-            detected,
-            completed: assigned.clone(),
-            assigned,
-            recovered_load: 0.0,
-            recovery_assigned: vec![0.0; n],
-            makespan: clock.now(),
-            base_makespan: base.makespan,
-            arbitrations,
-            ledger: Ledger::new(),
-            net_utilities: vec![0.0],
-            transcript,
-            splice_map: (0..n)
-                .map(|i| {
-                    if i == k {
-                        None
-                    } else {
-                        Some(if i < k { i } else { i - 1 })
-                    }
-                })
-                .collect(),
-            events: 0,
-            timeline,
-        });
-    }
-
-    // Splice the chain of *true* rates; bids re-derive from the surviving
-    // nodes' deviations inside the inner run.
-    let mut w = vec![scenario.root_rate];
-    w.extend_from_slice(&scenario.true_rates);
-    let spliced = linear::splice(&LinearNetwork::from_rates(&w, &scenario.link_rates), k);
-    let mut deviations = scenario.deviations.clone();
-    deviations.remove(k - 1);
-    let inner_scenario = Scenario {
-        root_rate: scenario.root_rate,
-        true_rates: spliced.rates_w()[1..].to_vec(),
-        link_rates: spliced.rates_z().to_vec(),
-        deviations,
-        fine: scenario.fine,
-        blocks: scenario.blocks,
-        seed: scenario.seed,
-        solution_bonus: scenario.solution_bonus,
-        solution_found: scenario.solution_found,
-    };
-    // The remaining faults, renumbered to the spliced chain, are recovered
-    // *inside* the survivor re-run: recovery-during-recovery re-enters the
-    // splice path.
-    let inner_rest: Vec<FaultEvent> = rest
-        .iter()
-        .map(|e| FaultEvent {
-            node: if e.node > k { e.node - 1 } else { e.node },
-            kind: e.kind,
-        })
-        .collect();
-    let inner_base = try_run(&inner_scenario)?;
-    let inner = recover(&inner_scenario, &inner_base, &inner_rest, timeout)?;
-    obs::event!(
-        "protocol.ft.residual_resolve",
-        vt = clock.now(),
-        "dead" => k,
-        "survivors" => inner.assigned.len()
-    );
-    let recovery_span = clock.advance(inner.makespan);
-    // The survivor protocol's Phase III work, shifted past the timeout and
-    // renumbered to the original chain. A nested recovery's own timeout,
-    // splice and recovery spans pass through the same shift.
-    for s in &inner.timeline.spans {
-        match s.kind {
-            obs::TimelineKind::Work if s.phase == 3 => timeline.push(
-                unsplice(s.node, k),
-                3,
-                obs::TimelineKind::Recovery,
-                (recovery_span.0 + s.start, recovery_span.0 + s.end),
-                s.load,
-            ),
-            obs::TimelineKind::Work => {}
-            kind => timeline.push(
-                unsplice(s.node, k),
-                s.phase,
-                kind,
-                (recovery_span.0 + s.start, recovery_span.0 + s.end),
-                s.load,
-            ),
+impl From<RunReport> for BaseRun {
+    fn from(r: RunReport) -> Self {
+        BaseRun {
+            bids: r.bids,
+            actual_rates: r.actual_rates,
+            assigned: r.assigned,
+            retained: r.retained,
+            makespan: r.makespan,
+            arbitrations: r.arbitrations,
+            ledger: r.ledger,
+            net_utilities: r.net_utilities,
+            transcript: r.transcript,
+            events: r.events,
+            timeline: r.timeline,
         }
     }
-    timeline.makespan = clock.now();
-
-    transcript.record(Entry::Recovery {
-        dead: k,
-        residual: 0.0,
-        reassigned: inner
-            .assigned
-            .iter()
-            .enumerate()
-            .map(|(si, &a)| (unsplice(si, k), a))
-            .collect(),
-    });
-    for e in inner.transcript.entries() {
-        transcript.record(e.clone());
-    }
-
-    // Renumber everything back to original indices.
-    let mut assigned = vec![0.0; n];
-    let mut completed = vec![0.0; n];
-    let mut recovery_assigned = vec![0.0; n];
-    for si in 0..inner.assigned.len() {
-        assigned[unsplice(si, k)] = inner.assigned[si];
-        completed[unsplice(si, k)] = inner.completed[si];
-        recovery_assigned[unsplice(si, k)] = inner.recovery_assigned[si];
-    }
-    let mut ledger = Ledger::new();
-    for e in inner.ledger.entries() {
-        ledger.post(unsplice(e.node, k), e.kind, e.amount, e.phase);
-    }
-    arbitrations.extend(inner.arbitrations.iter().map(|a| ArbitrationRecord {
-        claimant: unsplice(a.claimant, k),
-        accused: unsplice(a.accused, k),
-        ..a.clone()
-    }));
-    detected.extend(
-        inner
-            .detected
-            .iter()
-            .map(|&(d, s, p)| (unsplice(d, k), unsplice(s, k), p)),
-    );
-    let mut net_utilities = vec![0.0; m];
-    for sj in 1..=m - 1 {
-        net_utilities[unsplice(sj, k) - 1] = inner.net_utilities[sj - 1];
-    }
-
-    let mut crashed = vec![k];
-    crashed.extend(inner.crashed.iter().map(|&c| unsplice(c, k)));
-    let stalled: Vec<NodeId> = inner.stalled.iter().map(|&st| unsplice(st, k)).collect();
-    // Compose the outer splice with whatever the inner recovery spliced.
-    let splice_map: Vec<Option<usize>> = (0..n)
-        .map(|i| {
-            if i == k {
-                None
-            } else {
-                inner.splice_map[if i < k { i } else { i - 1 }]
-            }
-        })
-        .collect();
-
-    Ok(FtRunReport {
-        crashed,
-        stalled,
-        detected,
-        assigned,
-        completed,
-        recovered_load: inner.recovered_load,
-        recovery_assigned,
-        makespan: clock.now(),
-        base_makespan: base.makespan,
-        arbitrations,
-        ledger,
-        net_utilities,
-        transcript,
-        splice_map,
-        events: inner.events,
-        timeline,
-    })
 }
 
-/// Serialized recovery of every Phase III halt (crash or stall) followed
-/// by the simultaneous settlement of every Phase IV crash.
-///
-/// Each Phase III halt costs one detection timeout, fuses the dead node
-/// out of the running bid chain, and re-solves its unfinished work on the
-/// remaining survivors; the next halt in detection order strikes during
-/// that recovery round. Phase IV crashes share a single timeout window —
-/// their billing timers fire concurrently — and are arbitrated as a batch.
-fn compute_and_billing_recovery(
-    scenario: &Scenario,
-    base: &RunReport,
-    queue: &[FaultEvent],
-    timeout: f64,
-    splice_map: Vec<Option<usize>>,
-) -> FtRunReport {
-    let m = scenario.num_agents();
-    let n = m + 1;
+impl Scenario {
+    /// The chain with `rates` at the strategic processors.
+    fn network(&self, rates: &[f64]) -> LinearNetwork {
+        let mut w = vec![self.root_rate];
+        w.extend_from_slice(rates);
+        LinearNetwork::from_rates(&w, &self.link_rates)
+    }
+}
 
-    let mut transcript = base.transcript.clone();
-    let mut arbitrations = base.arbitrations.clone();
-    let mut timeline = base.timeline.clone();
-    let mut detected = Vec::new();
-    let mut crashed = Vec::new();
-    let mut stalled = Vec::new();
+impl Topology for Scenario {
+    type BidNet = LinearNetwork;
 
-    // The recovery clock picks up where the fault-free schedule ended.
-    let mut clock = obs::RunClock::starting_at(base.makespan);
-    let mut completed = base.retained.clone();
-    let mut recovery_assigned = vec![0.0; n];
-    let mut recovered_load = 0.0;
+    const TIMES_NODES: bool = true;
 
-    // The running spliced *bid* chain — recovery allocation is a Phase II
-    // re-solve on reported rates — and the original index of each
-    // surviving position.
-    let mut bid_w = vec![scenario.root_rate];
-    bid_w.extend_from_slice(&base.bids);
-    let mut net = LinearNetwork::from_rates(&bid_w, &scenario.link_rates);
-    let mut orig_of: Vec<usize> = (0..n).collect();
-    // What each node is working on in the current round: `None` is the
-    // base Phase III round (work = base.retained); after a splice it is
-    // the latest recovery re-allocation, indexed by original node id.
-    let mut round_assign: Option<Vec<f64>> = None;
+    fn root_rate(&self) -> f64 {
+        self.root_rate
+    }
 
-    let phase3: Vec<&FaultEvent> = queue
-        .iter()
-        .filter(|e| e.kind.halt_phase() == Some(3))
-        .collect();
-    let phase4: Vec<&FaultEvent> = queue
-        .iter()
-        .filter(|e| e.kind.halt_phase() == Some(4))
-        .collect();
-    debug_assert_eq!(phase3.len() + phase4.len(), queue.len());
+    fn parent(&self, k: NodeId) -> NodeId {
+        k - 1
+    }
 
-    for e in &phase3 {
-        let k = e.node;
-        let (progress, alive) = match e.kind {
-            FaultKind::Crash { progress, .. } => (progress, false),
-            FaultKind::Stall { progress } => (progress, true),
-            _ => unreachable!("phase filter admits only halting faults"),
+    fn first_child(&self, k: NodeId) -> Option<NodeId> {
+        (k < self.num_agents()).then_some(k + 1)
+    }
+
+    fn base_run(&self) -> Result<BaseRun, ScenarioError> {
+        try_run(self).map(BaseRun::from)
+    }
+
+    fn without(&self, k: NodeId) -> (Self, Vec<Option<usize>>) {
+        let spliced = linear::splice(&self.network(&self.true_rates), k);
+        let mut deviations = self.deviations.clone();
+        deviations.remove(k - 1);
+        let survivors = Scenario {
+            true_rates: spliced.rates_w()[1..].to_vec(),
+            link_rates: spliced.rates_z(),
+            deviations,
+            ..*self
         };
-        // How much of its current round's work the node finished before
-        // halting. In the base round that is `progress` of its retained
-        // share; in a recovery round, `progress` of its latest recovery
-        // assignment (all earlier rounds completed in full).
-        let residual = match &round_assign {
-            None => {
-                let done_k = progress * base.retained[k];
-                let residual = base.retained[k] - done_k;
-                completed[k] = done_k;
-                residual
-            }
-            Some(assign) => {
-                let residual = assign[k] - progress * assign[k];
-                completed[k] -= residual;
-                recovery_assigned[k] -= residual;
-                residual
-            }
-        };
+        let map = (0..=self.num_agents())
+            .map(|i| (i != k).then_some(if i < k { i } else { i - 1 }))
+            .collect();
+        (survivors, map)
+    }
 
-        let detector = detector_of(k, 3, m);
-        transcript.record(Entry::Timeout {
-            detector,
-            suspect: k,
-            phase: 3,
-        });
-        arbitrations.push(arbitrate_unresponsive(detector, k, alive));
-        detected.push((detector, k, 3));
-        if alive {
-            stalled.push(k);
+    fn bid_net(&self, base: &BaseRun) -> LinearNetwork {
+        self.network(&base.bids)
+    }
+
+    fn splice_bid_net(net: &mut LinearNetwork, orig_of: &mut Vec<usize>, at: usize) {
+        *net = linear::splice(net, at);
+        orig_of.remove(at);
+    }
+
+    /// Residual re-solves route through the batch solver core
+    /// (`dlt::batch::solve_one`), which is bit-identical to the scalar
+    /// `linear::solve` by construction — E20/E22 report bytes are
+    /// unchanged.
+    fn allocation(net: &LinearNetwork) -> (f64, Vec<f64>) {
+        if net.len() == 1 {
+            (net.w(0), vec![1.0])
         } else {
-            crashed.push(k);
+            let sol = dlt::batch::solve_one(net);
+            (sol.makespan(), sol.alloc.fractions().to_vec())
         }
-
-        let timeout_span = clock.advance(timeout);
-        obs::count!("protocol.ft.detection_timeouts", "phase" => 3u8);
-        obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => 3u8);
-        obs::event!("protocol.ft.splice", vt = clock.now(), "dead" => k, "phase" => 3u8);
-
-        // Fuse the halted node out of the running survivor chain and
-        // re-solve its unfinished work.
-        let si_k = orig_of
-            .iter()
-            .position(|&o| o == k)
-            .expect("halted node is on the survivor chain");
-        net = linear::splice(&net, si_k);
-        orig_of.remove(si_k);
-        let (per_unit_makespan, shares) = allocation_of(&net);
-        obs::event!(
-            "protocol.ft.residual_resolve",
-            vt = clock.now(),
-            "dead" => k,
-            "residual" => residual,
-            "survivors" => shares.len()
-        );
-
-        let mut round = vec![0.0; n];
-        let mut reassigned = Vec::with_capacity(shares.len());
-        for (si, &share) in shares.iter().enumerate() {
-            let orig = orig_of[si];
-            let extra = residual * share;
-            recovery_assigned[orig] += extra;
-            completed[orig] += extra;
-            round[orig] = extra;
-            reassigned.push((orig, extra));
-        }
-        transcript.record(Entry::Recovery {
-            dead: k,
-            residual,
-            reassigned,
-        });
-
-        let recovery_span = clock.advance(residual * per_unit_makespan);
-        timeline.push(detector, 3, obs::TimelineKind::Timeout, timeout_span, 0.0);
-        timeline.mark(k, 3, obs::TimelineKind::Splice, recovery_span.0);
-        for (orig, &extra) in round.iter().enumerate() {
-            if extra > 0.0 {
-                timeline.push(orig, 3, obs::TimelineKind::Recovery, recovery_span, extra);
-            }
-        }
-        recovered_load += residual;
-        round_assign = Some(round);
     }
 
-    // Phase IV crashes are simultaneous: every billing timer fires within
-    // the same timeout window, and the root probes the whole batch.
-    if !phase4.is_empty() {
-        let timeout_span = clock.advance(timeout);
-        let mut probes = Vec::with_capacity(phase4.len());
-        for e in &phase4 {
-            let k = e.node;
-            let detector = detector_of(k, 4, m);
-            transcript.record(Entry::Timeout {
-                detector,
-                suspect: k,
-                phase: 4,
-            });
-            detected.push((detector, k, 4));
-            crashed.push(k);
-            obs::count!("protocol.ft.detection_timeouts", "phase" => 4u8);
-            obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => 4u8);
-            timeline.push(detector, 4, obs::TimelineKind::Timeout, timeout_span, 0.0);
-            probes.push((detector, k, false));
-        }
-        arbitrations.extend(arbitrate_concurrent_unresponsive(&probes));
-    }
-
-    // Rebuild the ledger: every halted node's Phase IV settlement
-    // (payment, and any audit outcome of a bill it never submitted) is
-    // voided at once, then re-settled — Phase III halts pro rata on what
-    // they verifiably completed, Phase IV crashes from the root's own
-    // recomputation — and survivors are paid their recovery work at
-    // metered cost. Earlier-phase fines and rewards stand.
-    let halted: Vec<NodeId> = queue.iter().map(|e| e.node).collect();
-    let mut ledger = base.ledger.without_entries_of(&halted, 4);
-    let mut pro_rata_of: Vec<Option<PaymentBreakdown>> = vec![None; n];
-    for e in &phase3 {
-        let k = e.node;
-        let pr = payment::pro_rata(completed[k], base.actual_rates[k - 1]);
-        ledger.post(k, EntryKind::Payment, pr.payment, 4);
-        pro_rata_of[k] = Some(pr);
-    }
-    let mut settled_of: Vec<Option<PaymentBreakdown>> = vec![None; n];
-    if !phase4.is_empty() {
-        let bid_net = LinearNetwork::from_rates(&bid_w, &scenario.link_rates);
-        let s = if scenario.solution_found {
-            scenario.solution_bonus
+    fn billing<'a>(&'a self, base: &'a BaseRun) -> impl Fn(NodeId) -> (f64, f64) + 'a {
+        let bid_net = self.bid_net(base);
+        let s = if self.solution_found {
+            self.solution_bonus
         } else {
             0.0
         };
-        for e in &phase4 {
-            let k = e.node;
+        move |k| {
             let honest = payment::settle(
                 &bid_net,
                 k,
@@ -749,132 +190,33 @@ fn compute_and_billing_recovery(
                 },
                 s,
             );
-            ledger.post(k, EntryKind::Payment, honest.payment, 4);
-            if recovery_assigned[k] > 0.0 {
-                // A Phase IV casualty that performed recovery work earlier
-                // is paid that wage too — it finished it before dying.
-                ledger.post(
-                    k,
-                    EntryKind::Payment,
-                    payment::recovery_wage(recovery_assigned[k], base.actual_rates[k - 1]),
-                    4,
-                );
-            }
-            settled_of[k] = Some(honest);
-        }
-    }
-    for j in 1..=m {
-        if !halted.contains(&j) && recovery_assigned[j] > 0.0 {
-            ledger.post(
-                j,
-                EntryKind::Payment,
-                payment::recovery_wage(recovery_assigned[j], base.actual_rates[j - 1]),
-                4,
-            );
+            (honest.payment, honest.valuation)
         }
     }
 
-    // Net utilities: valuation (recovered from the base report) adjusted
-    // for the changed workloads, plus the rebuilt ledger. When nothing
-    // halted mid-computation no workload changed, so survivors keep their
-    // base utilities verbatim.
-    let mut net_utilities;
-    if phase3.is_empty() {
-        net_utilities = base.net_utilities.clone();
-        for e in &phase4 {
-            let k = e.node;
-            let honest = settled_of[k].as_ref().expect("settled above");
-            net_utilities[k - 1] = honest.valuation + ledger.net(k);
-        }
-    } else {
-        net_utilities = vec![0.0; m];
-        for j in 1..=m {
-            let valuation = if let Some(pr) = &pro_rata_of[j] {
-                pr.valuation
-            } else if let Some(honest) = &settled_of[j] {
-                honest.valuation - recovery_assigned[j] * base.actual_rates[j - 1]
-            } else {
-                let base_valuation = base.net_utilities[j - 1] - base.ledger.net(j);
-                base_valuation - recovery_assigned[j] * base.actual_rates[j - 1]
-            };
-            net_utilities[j - 1] = valuation + ledger.net(j);
-        }
-    }
-
-    timeline.makespan = clock.now();
-    FtRunReport {
-        crashed,
-        stalled,
-        detected,
-        assigned: base.assigned.clone(),
-        completed,
-        recovered_load,
-        recovery_assigned,
-        makespan: clock.now(),
-        base_makespan: base.makespan,
-        arbitrations,
-        ledger,
-        net_utilities,
-        transcript,
-        splice_map,
-        events: base.events,
-        timeline,
+    /// Valuation recovered from the base report (or from the Phase IV
+    /// re-settlement), less the recovery work's cost.
+    fn valuation(base: &BaseRun, j: NodeId, billed: Option<f64>, recovery: f64) -> f64 {
+        billed.unwrap_or_else(|| base.net_utilities[j - 1] - base.ledger.net(j))
+            - recovery * base.actual_rates[j - 1]
     }
 }
 
-/// Layer the plan's message faults on top of the halting-fault report:
-/// each drop/corruption costs one detection timeout (and files a no-fault
-/// timeout complaint that the liveness probe rejects); each delay adds its
-/// latency. Messages of halted nodes are skipped — their silence is
-/// already the halting faults' story. Corrupted messages never enter the
-/// transcript: only the retransmitted, well-signed copy is recorded, so
-/// replay cannot incriminate the sender.
-pub(crate) fn apply_message_faults(report: &mut FtRunReport, plan: &FaultPlan, m: usize) {
-    // Message-fault overhead accrues on the same clock the halting-fault
-    // path ended on.
-    let mut clock = obs::RunClock::starting_at(report.makespan);
-    for event in plan.message_faults() {
-        if report.crashed.contains(&event.node) || report.stalled.contains(&event.node) {
-            continue;
-        }
-        match event.kind {
-            FaultKind::DropMessage { phase } | FaultKind::CorruptMessage { phase } => {
-                let Some(receiver) = receiver_of(event.node, phase, m) else {
-                    continue;
-                };
-                let wait = clock.advance(plan.detection_timeout);
-                obs::count!("protocol.ft.detection_timeouts", "phase" => phase);
-                obs::hist!("protocol.ft.timeout_wait", plan.detection_timeout, "phase" => phase);
-                report
-                    .timeline
-                    .push(receiver, phase, obs::TimelineKind::Timeout, wait, 0.0);
-                report.makespan = clock.now();
-                report.transcript.record(Entry::Timeout {
-                    detector: receiver,
-                    suspect: event.node,
-                    phase,
-                });
-                report.detected.push((receiver, event.node, phase));
-                report
-                    .arbitrations
-                    .push(arbitrate_unresponsive(receiver, event.node, true));
-            }
-            FaultKind::DelayMessage { phase, delay } => {
-                if receiver_of(event.node, phase, m).is_some() {
-                    clock.advance(delay);
-                    report.makespan = clock.now();
-                }
-            }
-            FaultKind::Crash { .. } | FaultKind::Stall { .. } => unreachable!("filtered"),
-        }
-    }
-    report.timeline.makespan = report.makespan;
+/// Execute `scenario` under `plan`, recovering from the injected faults.
+pub fn run_with_faults(scenario: &Scenario, plan: &FaultPlan) -> Result<FtRunReport, FtError> {
+    scenario.validate()?;
+    let m = scenario.num_agents();
+    plan.validate(m)?;
+    let _ft_span = obs::span!("protocol.ft.run", "m" => m, "timeout" => plan.detection_timeout);
+    ft_engine::run(scenario, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deviation::Deviation;
+    use crate::faults::{FaultError, FaultKind};
+    use crate::ledger::EntryKind;
     use mechanism::FineSchedule;
 
     fn scenario() -> Scenario {

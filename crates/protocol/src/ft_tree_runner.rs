@@ -2,41 +2,28 @@
 //! under an injected [`FaultPlan`] and recover by **subtree
 //! re-attachment** ([`dlt::tree::splice_node`]).
 //!
-//! ### Recovery protocol
-//! The chain engine ([`crate::ft_runner`]) recovers a halt by fusing two
-//! links; on a tree the failed node may route several subtrees, so the
-//! splice re-attaches *every* child subtree of the dead node to the dead
-//! node's parent. Each re-attached subtree's incoming link fuses with the
-//! dead node's (`z(parent→child) = z(parent→dead) + z(dead→child)` — the
-//! data travels both hops, store-and-forward), and the parent's service
-//! order is re-canonicalized because the fused links can land anywhere in
-//! the ascending-link sequence. [`FtTreeRunReport::splice_map`] records
-//! where every survivor ended up.
+//! The recovery protocol is the chain's ([`crate::ft_runner`]), written
+//! once in the crate's recovery engine (`ft_engine`). This module is the
+//! engine's tree topology:
 //!
-//! The phase semantics mirror the chain engine exactly:
-//!
-//! * **Pre-distribution halts (Phases I–II)** recurse: the dead node is
-//!   spliced out of the true-rate tree, the survivors re-run the whole
-//!   protocol among themselves (remaining faults renumbered onto the
-//!   spliced tree and recovered *inside* that re-run), and everything is
-//!   renumbered back through the composed splice map.
-//! * **Phase III halts** are serialized by the root: each halt costs one
-//!   detection timeout, fuses the dead node out of the running *bid* tree,
-//!   and re-solves its unfinished residual over the survivors
-//!   ([`dlt::tree::solve`]); the halted node is settled **pro rata**
-//!   ([`mechanism::payment::pro_rata`]) on what it verifiably completed,
-//!   and survivors are paid their recovery work at metered cost
-//!   ([`mechanism::payment::recovery_wage`]).
-//! * **Phase IV crashes** share a single timeout window and are arbitrated
-//!   as a concurrent batch; the root re-posts each silent node's honest
-//!   bill from its own [`TreeMechanism`] re-settlement.
-//!
-//! ### Detection order on a tree
-//! Phase I bids flow upward, so the **parent** of a silent node times out;
-//! Phase II allocations flow downward, so the **first child in canonical
-//! service order** waits (the root for a leaf); Phase III results and
-//! Phase IV bills are awaited by the **root**. On a degenerate path these
-//! rules reduce to the chain's predecessor/successor rules.
+//! * **Splice**: the failed node may route several subtrees, so the splice
+//!   re-attaches *every* child subtree of the dead node to the dead node's
+//!   parent. Each re-attached subtree's incoming link fuses with the dead
+//!   node's (`z(parent→child) = z(parent→dead) + z(dead→child)` — the data
+//!   travels both hops, store-and-forward), and the parent's service order
+//!   is re-canonicalized because the fused links can land anywhere in the
+//!   ascending-link sequence. [`FtTreeRunReport::splice_map`] records
+//!   where every survivor ended up.
+//! * **Detection**: a node's first child is the first in canonical service
+//!   order, so a silent node's Phase II allocation is awaited by that child
+//!   (the root for a leaf). On a degenerate path the rules reduce to the
+//!   chain's predecessor/successor rules.
+//! * **Re-solve and re-settlement**: residuals are re-solved over the
+//!   spliced *bid* tree ([`dlt::tree::solve`]); a silent Phase IV node's
+//!   honest bill comes from the root's own [`TreeMechanism`] settlement.
+//! * **Base run**: the tree protocol keeps no transcript and times no
+//!   node, so a branching tree's timeline carries only the detection
+//!   waits, splice instants and recovery spans.
 //!
 //! ### Degenerate paths delegate to the chain engine
 //! A tree in which every node has at most one child *is* a chain, so this
@@ -56,16 +43,16 @@
 //! corollary).
 
 use crate::crypto::NodeId;
-use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
+use crate::ft_engine::{self, BaseRun, Topology};
 use crate::ft_runner::{FtError, FtRunReport};
-use crate::ledger::{EntryKind, Ledger};
-use crate::root::{arbitrate_concurrent_unresponsive, arbitrate_unresponsive, ArbitrationRecord};
-use crate::runner::{Scenario, ScenarioError};
-use crate::tree_runner::{run_tree, Flat, TreeArbitration, TreeRunReport, TreeScenario};
-use dlt::model::{Link, Processor, TreeNode};
+use crate::ledger::Ledger;
+use crate::root::ArbitrationRecord;
+use crate::runner::{check_rates, check_terms, Scenario, ScenarioError};
+use crate::tree_runner::{flatten, run_tree, TreeArbitration, TreeRunReport, TreeScenario};
+use dlt::model::{Processor, TreeNode};
 use dlt::tree::{self, SplicedTree};
 use mechanism::dls_tree::TreeMechanism;
-use mechanism::payment::{self, PaymentBreakdown};
 use mechanism::Conduct;
 
 /// Everything a fault-tolerant tree run produced. All per-node vectors use
@@ -114,120 +101,18 @@ pub struct FtTreeRunReport {
     pub timeline: obs::PhaseTimeline,
 }
 
-impl FtTreeRunReport {
-    /// Net utility of strategic processor `P_j` (original preorder index).
-    pub fn utility(&self, j: usize) -> f64 {
-        self.net_utilities[j - 1]
-    }
-
-    /// True if the total finished load equals the unit workload.
-    pub fn load_conserved(&self, tol: f64) -> bool {
-        (self.completed.iter().sum::<f64>() - 1.0).abs() <= tol
-    }
-
-    /// Makespan overhead attributable to faults and recovery.
-    pub fn overhead(&self) -> f64 {
-        self.makespan - self.base_makespan
-    }
-
-    /// Fines actually paid by `P_j` (as a non-negative number).
-    pub fn fines_paid(&self, j: NodeId) -> f64 {
-        -(self.ledger.net_of(j, EntryKind::Fine)
-            + self.ledger.net_of(j, EntryKind::ExtraWorkPenalty))
-    }
-
-    /// All halted nodes (crashed and stalled), in detection order within
-    /// each group.
-    pub fn halted(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.crashed.iter().chain(self.stalled.iter()).copied()
-    }
-}
-
-/// Detection rule on the tree: who notices `P_k` going silent in `phase`.
-/// Phase I bids flow upward (the parent waits); Phase II allocations flow
-/// downward (the first child in canonical order waits, the root for a
-/// leaf); results and bills are awaited by the root. Reduces to the
-/// chain's predecessor/successor rules on a path.
-fn detector_of(k: NodeId, phase: u8, flat: &Flat) -> NodeId {
-    match phase {
-        1 => flat.parent[k].expect("strategic nodes have parents"),
-        2 => flat.children[k].first().copied().unwrap_or(0),
-        _ => 0,
-    }
-}
-
-/// Receiver of `P_v`'s outbound message in `phase` — `None` when the node
-/// sends nothing in that phase (a leaf in Phases II–III).
-fn receiver_of(v: NodeId, phase: u8, flat: &Flat) -> Option<NodeId> {
-    match phase {
-        1 => flat.parent[v],
-        2 | 3 => flat.children[v].first().copied(),
-        _ => Some(0),
-    }
-}
-
-/// Per-unit-load makespan and absolute preorder load shares of a (possibly
-/// root-only) tree.
-fn allocation_of_tree(t: &TreeNode) -> (f64, Vec<f64>) {
-    if t.size() == 1 {
-        (t.processor.w, vec![1.0])
-    } else {
-        let sol = tree::solve(t);
-        (sol.equivalent, sol.flatten())
-    }
-}
-
-/// Rebuild `shape` with `rates` at the non-root processors (preorder); the
+/// `shape` with `rates` at the non-root processors (preorder); the
 /// trusted root rate and all link rates are kept.
 fn with_rates(shape: &TreeNode, rates: &[f64]) -> TreeNode {
-    fn rebuild(node: &TreeNode, rates: &[f64], next: &mut usize, is_root: bool) -> TreeNode {
-        let w = if is_root {
-            node.processor.w
-        } else {
-            let r = rates[*next];
-            *next += 1;
-            r
-        };
-        TreeNode {
-            processor: Processor::new(w),
-            children: node
-                .children
-                .iter()
-                .map(|(l, c)| (Link::new(l.z), rebuild(c, rates, next, false)))
-                .collect(),
+    fn set(node: &mut TreeNode, rates: &mut std::slice::Iter<'_, f64>) {
+        for (_, child) in &mut node.children {
+            child.processor = Processor::new(*rates.next().expect("one rate per non-root node"));
+            set(child, rates);
         }
     }
-    let mut next = 0;
-    let out = rebuild(shape, rates, &mut next, true);
-    debug_assert_eq!(next, rates.len(), "one rate per non-root node");
+    let mut out = shape.clone();
+    set(&mut out, &mut rates.iter());
     out
-}
-
-/// Non-root processor rates in preorder.
-fn strategic_rates(tree: &TreeNode) -> Vec<f64> {
-    fn walk(node: &TreeNode, out: &mut Vec<f64>, is_root: bool) {
-        if !is_root {
-            out.push(node.processor.w);
-        }
-        for (_, c) in &node.children {
-            walk(c, out, false);
-        }
-    }
-    let mut out = Vec::new();
-    walk(tree, &mut out, true);
-    out
-}
-
-/// Convert a chain arbitration record into the tree report's shape. The
-/// fine amounts are not dropped — unresponsive probes are no-fault (always
-/// zero) and any real fine lives in the ledger.
-fn to_tree_arbitration(a: &ArbitrationRecord) -> TreeArbitration {
-    TreeArbitration {
-        claimant: a.claimant,
-        accused: a.accused,
-        complaint: a.complaint.clone(),
-        substantiated: a.substantiated,
-    }
 }
 
 /// If the canonicalized shape is a degenerate path — every node has at
@@ -236,19 +121,15 @@ fn to_tree_arbitration(a: &ArbitrationRecord) -> TreeArbitration {
 /// blocks and seed, no solution bonus (the tree protocol has none).
 /// Returns `None` for a branching tree.
 pub fn as_chain_scenario(scenario: &TreeScenario) -> Option<Scenario> {
-    let mut link_rates = Vec::new();
-    let mut node = &scenario.shape;
-    while let Some((link, child)) = node.children.first() {
-        if node.children.len() > 1 {
-            return None;
-        }
-        link_rates.push(link.z);
-        node = child;
+    let flat = flatten(&scenario.shape);
+    if flat.children.iter().any(|c| c.len() > 1) {
+        return None;
     }
+    // On a path, preorder is chain order and `z_in[j]` feeds `P_j`.
     Some(Scenario {
         root_rate: scenario.shape.processor.w,
         true_rates: scenario.true_rates.clone(),
-        link_rates,
+        link_rates: flat.z_in[1..].to_vec(),
         deviations: scenario.deviations.clone(),
         fine: scenario.fine,
         blocks: scenario.blocks,
@@ -258,7 +139,10 @@ pub fn as_chain_scenario(scenario: &TreeScenario) -> Option<Scenario> {
     })
 }
 
-/// Wrap the chain engine's report into the tree report shape, verbatim.
+/// Wrap the engine's report into the tree report shape, verbatim: the
+/// tree report has no transcript or event count, and its arbitration
+/// records no fine amounts — unresponsive probes are no-fault (always
+/// zero) and any real fine lives in the ledger.
 fn from_chain_report(r: FtRunReport) -> FtTreeRunReport {
     FtTreeRunReport {
         crashed: r.crashed,
@@ -270,7 +154,16 @@ fn from_chain_report(r: FtRunReport) -> FtTreeRunReport {
         recovery_assigned: r.recovery_assigned,
         makespan: r.makespan,
         base_makespan: r.base_makespan,
-        arbitrations: r.arbitrations.iter().map(to_tree_arbitration).collect(),
+        arbitrations: r
+            .arbitrations
+            .into_iter()
+            .map(|a| TreeArbitration {
+                claimant: a.claimant,
+                accused: a.accused,
+                complaint: a.complaint,
+                substantiated: a.substantiated,
+            })
+            .collect(),
         ledger: r.ledger,
         net_utilities: r.net_utilities,
         splice_map: r.splice_map,
@@ -278,40 +171,132 @@ fn from_chain_report(r: FtRunReport) -> FtTreeRunReport {
     }
 }
 
-fn validate_scenario(s: &TreeScenario) -> Result<(), ScenarioError> {
-    let m = s.num_agents();
-    if m == 0 {
-        return Err(ScenarioError::NoAgents);
-    }
-    let nodes = s.shape.size() - 1;
-    if nodes != m || s.deviations.len() != m {
-        return Err(ScenarioError::LengthMismatch {
-            true_rates: m,
-            link_rates: nodes,
-            deviations: s.deviations.len(),
-        });
-    }
-    for (j, &t) in s.true_rates.iter().enumerate() {
-        if !(t.is_finite() && t > 0.0) {
-            return Err(ScenarioError::BadRate {
-                field: "true_rates",
-                index: j,
-                value: t,
-            });
+impl From<TreeRunReport> for BaseRun {
+    /// The tree run keeps no transcript and times no node. Its grievance
+    /// records carry no fine amounts — those live in its ledger, which
+    /// recovery reads instead.
+    fn from(r: TreeRunReport) -> Self {
+        let mut timeline = obs::PhaseTimeline::new(r.assigned.len());
+        timeline.makespan = r.makespan;
+        BaseRun {
+            bids: r.bids,
+            actual_rates: r.actual_rates,
+            assigned: r.assigned,
+            retained: r.retained,
+            makespan: r.makespan,
+            arbitrations: r
+                .arbitrations
+                .into_iter()
+                .map(|a| ArbitrationRecord {
+                    claimant: a.claimant,
+                    accused: a.accused,
+                    complaint: a.complaint,
+                    substantiated: a.substantiated,
+                    fine: 0.0,
+                    extra_penalty: 0.0,
+                })
+                .collect(),
+            ledger: r.ledger,
+            net_utilities: r.net_utilities,
+            transcript: crate::transcript::Transcript::new(),
+            events: 0,
+            timeline,
         }
     }
-    let q = s.fine.audit_probability;
-    if !(q.is_finite() && (0.0..=1.0).contains(&q)) {
-        return Err(ScenarioError::BadAuditProbability(q));
+}
+
+impl Topology for TreeScenario {
+    type BidNet = TreeNode;
+
+    const TIMES_NODES: bool = false;
+
+    fn root_rate(&self) -> f64 {
+        self.shape.processor.w
     }
-    let f = s.fine.deviation_fine();
-    if !(f.is_finite() && f >= 0.0) {
-        return Err(ScenarioError::BadFine(f));
+
+    fn parent(&self, k: NodeId) -> NodeId {
+        flatten(&self.shape).parent[k].expect("strategic nodes have parents")
     }
-    if s.blocks == 0 {
-        return Err(ScenarioError::ZeroBlocks);
+
+    fn first_child(&self, k: NodeId) -> Option<NodeId> {
+        flatten(&self.shape).children[k].first().copied()
     }
-    Ok(())
+
+    fn base_run(&self) -> Result<BaseRun, ScenarioError> {
+        Ok(run_tree(self).into())
+    }
+
+    /// Splicing moves no processor, so every survivor keeps its true rate
+    /// and deviation, renumbered through the splice map.
+    fn without(&self, k: NodeId) -> (Self, Vec<Option<usize>>) {
+        let true_tree = with_rates(&self.shape, &self.true_rates);
+        let SplicedTree { tree: shape, map } = tree::splice_node(&true_tree, k);
+        let mut true_rates = vec![0.0; self.num_agents() - 1];
+        let mut deviations = vec![crate::deviation::Deviation::None; self.num_agents() - 1];
+        for (j, new) in map.iter().enumerate().skip(1) {
+            if let Some(nj) = new {
+                true_rates[nj - 1] = self.true_rates[j - 1];
+                deviations[nj - 1] = self.deviations[j - 1];
+            }
+        }
+        let survivors = TreeScenario {
+            shape,
+            true_rates,
+            deviations,
+            ..*self
+        };
+        (survivors, map)
+    }
+
+    /// Bids do not move links, so the canonical order of the bid tree is
+    /// the shape's own.
+    fn bid_net(&self, base: &BaseRun) -> TreeNode {
+        with_rates(&self.shape, &base.bids)
+    }
+
+    fn splice_bid_net(net: &mut TreeNode, orig_of: &mut Vec<usize>, at: usize) {
+        let SplicedTree { tree, map } = tree::splice_node(net, at);
+        *net = tree;
+        *orig_of = ft_engine::originals(&map)
+            .into_iter()
+            .map(|old| orig_of[old])
+            .collect();
+    }
+
+    fn allocation(t: &TreeNode) -> (f64, Vec<f64>) {
+        if t.size() == 1 {
+            (t.processor.w, vec![1.0])
+        } else {
+            let sol = tree::solve(t);
+            (sol.equivalent, sol.flatten())
+        }
+    }
+
+    /// The same settlement the base run used — deterministic, so an honest
+    /// casualty's re-posted bill is bit-identical to the one it never
+    /// sent.
+    fn billing<'a>(&'a self, base: &'a BaseRun) -> impl Fn(NodeId) -> (f64, f64) + 'a {
+        let mech = TreeMechanism::new(self.shape.clone());
+        let conducts: Vec<Conduct> = (1..=self.num_agents())
+            .map(|j| Conduct {
+                bid: base.bids[j - 1],
+                actual_rate: base.actual_rates[j - 1],
+                actual_load: Some(base.retained[j]),
+            })
+            .collect();
+        let outcome = mech.settle(&conducts);
+        move |k| {
+            (
+                outcome.payment(k),
+                -base.retained[k] * base.actual_rates[k - 1],
+            )
+        }
+    }
+
+    /// `completed[j]` = base share + recovery work performed.
+    fn valuation(base: &BaseRun, j: NodeId, _billed: Option<f64>, recovery: f64) -> f64 {
+        -(base.retained[j] + recovery) * base.actual_rates[j - 1]
+    }
 }
 
 /// Execute the tree scenario under `plan`, recovering from the injected
@@ -320,568 +305,36 @@ pub fn run_with_faults(
     scenario: &TreeScenario,
     plan: &FaultPlan,
 ) -> Result<FtTreeRunReport, FtError> {
-    validate_scenario(scenario)?;
+    // The chain's scenario checks, with the shape supplying the root rate
+    // and the links; like `Link::new`, a zero link (co-located processors)
+    // is allowed. The tree protocol has no solution bonus.
+    check_rates(
+        scenario.shape.processor.w,
+        &scenario.true_rates,
+        &flatten(&scenario.shape).z_in[1..],
+        true,
+        scenario.deviations.len(),
+    )?;
+    check_terms(&scenario.fine, 0.0, scenario.blocks)?;
     let m = scenario.num_agents();
     plan.validate(m)?;
-    let timeout = plan.detection_timeout;
-    let _ft_span = obs::span!("protocol.ft_tree.run", "m" => m, "timeout" => timeout);
+    let _ft_span =
+        obs::span!("protocol.ft_tree.run", "m" => m, "timeout" => plan.detection_timeout);
 
-    if let Some(chain) = as_chain_scenario(scenario) {
+    let report = match as_chain_scenario(scenario) {
         // A degenerate path IS a chain: inherit the frozen chain fault
         // semantics wholesale — byte-identical by construction.
-        let report = crate::ft_runner::run_with_faults(&chain, plan)?;
-        return Ok(from_chain_report(report));
-    }
-
-    let base = run_tree(scenario);
-    let queue = plan.detection_order();
-    let mut report = recover(scenario, &base, &queue, timeout)?;
-    apply_message_faults(
-        &mut report,
-        plan,
-        &crate::tree_runner::flatten(&scenario.shape),
-    );
-    Ok(report)
-}
-
-/// Recover from the halting faults in `queue` (already in detection
-/// order), mirroring the chain engine's dispatch.
-fn recover(
-    scenario: &TreeScenario,
-    base: &TreeRunReport,
-    queue: &[FaultEvent],
-    timeout: f64,
-) -> Result<FtTreeRunReport, FtError> {
-    let n = scenario.num_agents() + 1;
-    let identity_map: Vec<Option<usize>> = (0..n).map(Some).collect();
-    match queue.first() {
-        None => Ok(healthy_report(base, n, identity_map)),
-        Some(&FaultEvent {
-            node: k,
-            kind: FaultKind::Crash {
-                phase: p @ (1 | 2), ..
-            },
-        }) => pre_distribution_crash(scenario, base, k, p, &queue[1..], timeout),
-        // detection_order sorts by phase, so everything left is Phase
-        // III/IV: crashes at phase 3 or 4, and stalls.
-        _ => Ok(compute_and_billing_recovery(
-            scenario,
-            base,
-            queue,
-            timeout,
-            identity_map,
-        )),
-    }
-}
-
-/// No halting fault: the base tree run, wrapped.
-fn healthy_report(
-    base: &TreeRunReport,
-    n: usize,
-    splice_map: Vec<Option<usize>>,
-) -> FtTreeRunReport {
-    let mut timeline = obs::PhaseTimeline::new(n);
-    timeline.makespan = base.makespan;
-    FtTreeRunReport {
-        crashed: Vec::new(),
-        stalled: Vec::new(),
-        detected: Vec::new(),
-        assigned: base.assigned.clone(),
-        completed: base.retained.clone(),
-        recovered_load: 0.0,
-        recovery_assigned: vec![0.0; n],
-        makespan: base.makespan,
-        base_makespan: base.makespan,
-        arbitrations: base.arbitrations.clone(),
-        ledger: base.ledger.clone(),
-        net_utilities: base.net_utilities.clone(),
-        splice_map,
-        timeline,
-    }
-}
-
-/// Crash in Phase I or II: nothing was distributed; splice the subtrees
-/// onto the dead node's parent and re-run the whole protocol on the
-/// survivor tree — recovering the remaining faults of `rest` *inside* that
-/// re-run — then renumber back through the splice map.
-fn pre_distribution_crash(
-    scenario: &TreeScenario,
-    base: &TreeRunReport,
-    k: NodeId,
-    phase: u8,
-    rest: &[FaultEvent],
-    timeout: f64,
-) -> Result<FtTreeRunReport, FtError> {
-    let m = scenario.num_agents();
-    let n = m + 1;
-    let flat = crate::tree_runner::flatten(&scenario.shape);
-
-    let detector = detector_of(k, phase, &flat);
-    let mut arbitrations = vec![to_tree_arbitration(&arbitrate_unresponsive(
-        detector, k, false,
-    ))];
-    let mut detected = vec![(detector, k, phase)];
-
-    // Recovery restarts the whole schedule: the virtual clock begins at 0,
-    // waits out the detection timeout, then runs the survivor protocol.
-    let mut clock = obs::RunClock::new();
-    let timeout_span = clock.advance(timeout);
-    obs::count!("protocol.ft.detection_timeouts", "phase" => phase);
-    obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => phase);
-    obs::event!("protocol.ft.splice", vt = clock.now(), "dead" => k, "phase" => phase);
-    let mut timeline = obs::PhaseTimeline::new(n);
-    timeline.push(
-        detector,
-        phase,
-        obs::TimelineKind::Timeout,
-        timeout_span,
-        0.0,
-    );
-    timeline.mark(k, phase, obs::TimelineKind::Splice, timeout_span.1);
-
-    if m == 1 {
-        // No strategic survivor: the obedient root computes the whole unit
-        // load itself at rate w_0.
-        debug_assert!(rest.is_empty());
-        let mut assigned = vec![0.0; n];
-        assigned[0] = 1.0;
-        let root_span = clock.advance(scenario.shape.processor.w);
-        timeline.push(0, 3, obs::TimelineKind::Recovery, root_span, 1.0);
-        timeline.makespan = clock.now();
-        return Ok(FtTreeRunReport {
-            crashed: vec![k],
-            stalled: Vec::new(),
-            detected,
-            completed: assigned.clone(),
-            assigned,
-            recovered_load: 0.0,
-            recovery_assigned: vec![0.0; n],
-            makespan: clock.now(),
-            base_makespan: base.makespan,
-            arbitrations,
-            ledger: Ledger::new(),
-            net_utilities: vec![0.0],
-            splice_map: vec![Some(0), None],
-            timeline,
-        });
-    }
-
-    // Splice the tree of *true* rates; bids re-derive from the surviving
-    // nodes' deviations inside the inner run.
-    let true_tree = with_rates(&scenario.shape, &scenario.true_rates);
-    let SplicedTree { tree: spliced, map } = tree::splice_node(&true_tree, k);
-    // Survivor preorder position -> original id.
-    let mut orig_of = vec![0usize; n - 1];
-    for (old, new) in map.iter().enumerate() {
-        if let Some(new) = new {
-            orig_of[*new] = old;
-        }
-    }
-    let inner_rates = strategic_rates(&spliced);
-    let mut inner_deviations = vec![crate::deviation::Deviation::None; m - 1];
-    for j in 1..n {
-        if let Some(nj) = map[j] {
-            inner_deviations[nj - 1] = scenario.deviations[j - 1];
-        }
-    }
-    let inner_scenario = TreeScenario {
-        shape: spliced,
-        true_rates: inner_rates,
-        deviations: inner_deviations,
-        fine: scenario.fine,
-        blocks: scenario.blocks,
-        seed: scenario.seed,
+        Some(chain) => crate::ft_runner::run_with_faults(&chain, plan)?,
+        None => ft_engine::run(scenario, plan)?,
     };
-    // The remaining faults, renumbered to the spliced tree, are recovered
-    // *inside* the survivor re-run.
-    let inner_rest: Vec<FaultEvent> = rest
-        .iter()
-        .map(|e| FaultEvent {
-            node: map[e.node].expect("remaining faults strike survivors"),
-            kind: e.kind,
-        })
-        .collect();
-    let inner_base = run_tree(&inner_scenario);
-    let inner = recover(&inner_scenario, &inner_base, &inner_rest, timeout)?;
-    obs::event!(
-        "protocol.ft.residual_resolve",
-        vt = clock.now(),
-        "dead" => k,
-        "survivors" => inner.assigned.len()
-    );
-    let recovery_span = clock.advance(inner.makespan);
-    // The survivor re-run is one Recovery span at the root (the base tree
-    // run does not time individual nodes); a nested recovery's own
-    // timeout, splice and recovery spans pass through the same shift,
-    // renumbered to original ids.
-    timeline.push(0, 3, obs::TimelineKind::Recovery, recovery_span, 1.0);
-    for s in &inner.timeline.spans {
-        timeline.push(
-            orig_of[s.node],
-            s.phase,
-            s.kind,
-            (recovery_span.0 + s.start, recovery_span.0 + s.end),
-            s.load,
-        );
-    }
-    timeline.makespan = clock.now();
-
-    // Renumber everything back to original indices.
-    let mut assigned = vec![0.0; n];
-    let mut completed = vec![0.0; n];
-    let mut recovery_assigned = vec![0.0; n];
-    for si in 0..inner.assigned.len() {
-        assigned[orig_of[si]] = inner.assigned[si];
-        completed[orig_of[si]] = inner.completed[si];
-        recovery_assigned[orig_of[si]] = inner.recovery_assigned[si];
-    }
-    let mut ledger = Ledger::new();
-    for e in inner.ledger.entries() {
-        ledger.post(orig_of[e.node], e.kind, e.amount, e.phase);
-    }
-    arbitrations.extend(inner.arbitrations.iter().map(|a| TreeArbitration {
-        claimant: orig_of[a.claimant],
-        accused: orig_of[a.accused],
-        complaint: a.complaint.clone(),
-        substantiated: a.substantiated,
-    }));
-    detected.extend(
-        inner
-            .detected
-            .iter()
-            .map(|&(d, s, p)| (orig_of[d], orig_of[s], p)),
-    );
-    let mut net_utilities = vec![0.0; m];
-    for sj in 1..n - 1 {
-        net_utilities[orig_of[sj] - 1] = inner.net_utilities[sj - 1];
-    }
-
-    let mut crashed = vec![k];
-    crashed.extend(inner.crashed.iter().map(|&c| orig_of[c]));
-    let stalled: Vec<NodeId> = inner.stalled.iter().map(|&st| orig_of[st]).collect();
-    // Compose the outer splice with whatever the inner recovery spliced.
-    let splice_map: Vec<Option<usize>> = (0..n)
-        .map(|i| match map[i] {
-            None => None,
-            Some(ni) => inner.splice_map[ni],
-        })
-        .collect();
-
-    Ok(FtTreeRunReport {
-        crashed,
-        stalled,
-        detected,
-        assigned,
-        completed,
-        recovered_load: inner.recovered_load,
-        recovery_assigned,
-        makespan: clock.now(),
-        base_makespan: base.makespan,
-        arbitrations,
-        ledger,
-        net_utilities,
-        splice_map,
-        timeline,
-    })
-}
-
-/// Serialized recovery of every Phase III halt followed by the
-/// simultaneous settlement of every Phase IV crash — structurally the
-/// chain engine's `compute_and_billing_recovery` with the running bid
-/// *chain* replaced by the running bid *tree*.
-fn compute_and_billing_recovery(
-    scenario: &TreeScenario,
-    base: &TreeRunReport,
-    queue: &[FaultEvent],
-    timeout: f64,
-    splice_map: Vec<Option<usize>>,
-) -> FtTreeRunReport {
-    let m = scenario.num_agents();
-    let n = m + 1;
-
-    let mut arbitrations = base.arbitrations.clone();
-    let mut timeline = obs::PhaseTimeline::new(n);
-    let mut detected = Vec::new();
-    let mut crashed = Vec::new();
-    let mut stalled = Vec::new();
-
-    // The recovery clock picks up where the fault-free schedule ended.
-    let mut clock = obs::RunClock::starting_at(base.makespan);
-    let mut completed = base.retained.clone();
-    let mut recovery_assigned = vec![0.0; n];
-    let mut recovered_load = 0.0;
-
-    // The running spliced *bid* tree — recovery allocation is a Phase II
-    // re-solve on reported rates — and the original id of each surviving
-    // preorder position. Bids do not move links, so the canonical order of
-    // the bid tree is the shape's own.
-    let mut cur = with_rates(&scenario.shape, &base.bids);
-    let mut orig_of: Vec<usize> = (0..n).collect();
-    // What each node is working on in the current round: `None` is the
-    // base Phase III round (work = base.retained); after a splice it is
-    // the latest recovery re-allocation, indexed by original node id.
-    let mut round_assign: Option<Vec<f64>> = None;
-
-    let phase3: Vec<&FaultEvent> = queue
-        .iter()
-        .filter(|e| e.kind.halt_phase() == Some(3))
-        .collect();
-    let phase4: Vec<&FaultEvent> = queue
-        .iter()
-        .filter(|e| e.kind.halt_phase() == Some(4))
-        .collect();
-    debug_assert_eq!(phase3.len() + phase4.len(), queue.len());
-
-    for e in &phase3 {
-        let k = e.node;
-        let (progress, alive) = match e.kind {
-            FaultKind::Crash { progress, .. } => (progress, false),
-            FaultKind::Stall { progress } => (progress, true),
-            _ => unreachable!("phase filter admits only halting faults"),
-        };
-        let residual = match &round_assign {
-            None => {
-                let done_k = progress * base.retained[k];
-                let residual = base.retained[k] - done_k;
-                completed[k] = done_k;
-                residual
-            }
-            Some(assign) => {
-                let residual = assign[k] - progress * assign[k];
-                completed[k] -= residual;
-                recovery_assigned[k] -= residual;
-                residual
-            }
-        };
-
-        // Phase III results are awaited by the root.
-        let detector = 0;
-        arbitrations.push(to_tree_arbitration(&arbitrate_unresponsive(
-            detector, k, alive,
-        )));
-        detected.push((detector, k, 3));
-        if alive {
-            stalled.push(k);
-        } else {
-            crashed.push(k);
-        }
-
-        let timeout_span = clock.advance(timeout);
-        obs::count!("protocol.ft.detection_timeouts", "phase" => 3u8);
-        obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => 3u8);
-        obs::event!("protocol.ft.splice", vt = clock.now(), "dead" => k, "phase" => 3u8);
-
-        // Re-attach the halted node's subtrees onto its parent in the
-        // running survivor tree and re-solve its unfinished work.
-        let si_k = orig_of
-            .iter()
-            .position(|&o| o == k)
-            .expect("halted node is on the survivor tree");
-        let SplicedTree { tree: next, map } = tree::splice_node(&cur, si_k);
-        cur = next;
-        let mut next_orig = vec![0usize; orig_of.len() - 1];
-        for (old, new) in map.iter().enumerate() {
-            if let Some(new) = new {
-                next_orig[*new] = orig_of[old];
-            }
-        }
-        orig_of = next_orig;
-        let (per_unit_makespan, shares) = allocation_of_tree(&cur);
-        obs::event!(
-            "protocol.ft.residual_resolve",
-            vt = clock.now(),
-            "dead" => k,
-            "residual" => residual,
-            "survivors" => shares.len()
-        );
-
-        let mut round = vec![0.0; n];
-        for (si, &share) in shares.iter().enumerate() {
-            let orig = orig_of[si];
-            let extra = residual * share;
-            recovery_assigned[orig] += extra;
-            completed[orig] += extra;
-            round[orig] = extra;
-        }
-
-        let recovery_span = clock.advance(residual * per_unit_makespan);
-        timeline.push(detector, 3, obs::TimelineKind::Timeout, timeout_span, 0.0);
-        timeline.mark(k, 3, obs::TimelineKind::Splice, recovery_span.0);
-        for (orig, &extra) in round.iter().enumerate() {
-            if extra > 0.0 {
-                timeline.push(orig, 3, obs::TimelineKind::Recovery, recovery_span, extra);
-            }
-        }
-        recovered_load += residual;
-        round_assign = Some(round);
-    }
-
-    // Phase IV crashes are simultaneous: every billing timer fires within
-    // the same timeout window, and the root probes the whole batch.
-    if !phase4.is_empty() {
-        let timeout_span = clock.advance(timeout);
-        let mut probes = Vec::with_capacity(phase4.len());
-        for e in &phase4 {
-            let k = e.node;
-            detected.push((0, k, 4));
-            crashed.push(k);
-            obs::count!("protocol.ft.detection_timeouts", "phase" => 4u8);
-            obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => 4u8);
-            timeline.push(0, 4, obs::TimelineKind::Timeout, timeout_span, 0.0);
-            probes.push((0, k, false));
-        }
-        arbitrations.extend(
-            arbitrate_concurrent_unresponsive(&probes)
-                .iter()
-                .map(to_tree_arbitration),
-        );
-    }
-
-    // Rebuild the ledger: every halted node's Phase IV settlement is
-    // voided at once, then re-settled — Phase III halts pro rata on what
-    // they verifiably completed, Phase IV crashes from the root's own
-    // `TreeMechanism` re-settlement — and survivors are paid their
-    // recovery work at metered cost. Earlier-phase fines and rewards
-    // stand.
-    let halted: Vec<NodeId> = queue.iter().map(|e| e.node).collect();
-    let mut ledger = base.ledger.without_entries_of(&halted, 4);
-    let mut pro_rata_of: Vec<Option<PaymentBreakdown>> = vec![None; n];
-    for e in &phase3 {
-        let k = e.node;
-        let pr = payment::pro_rata(completed[k], base.actual_rates[k - 1]);
-        ledger.post(k, EntryKind::Payment, pr.payment, 4);
-        pro_rata_of[k] = Some(pr);
-    }
-    if !phase4.is_empty() {
-        // The root recomputes the silent nodes' honest bills from the same
-        // settlement the base run used — deterministic, so an honest
-        // casualty's re-posted bill is bit-identical to the one it never
-        // sent.
-        let mech = TreeMechanism::new(scenario.shape.clone());
-        let conducts: Vec<Conduct> = (1..n)
-            .map(|j| Conduct {
-                bid: base.bids[j - 1],
-                actual_rate: base.actual_rates[j - 1],
-                actual_load: Some(base.retained[j]),
-            })
-            .collect();
-        let outcome = mech.settle(&conducts);
-        for e in &phase4 {
-            let k = e.node;
-            ledger.post(k, EntryKind::Payment, outcome.payment(k), 4);
-            if recovery_assigned[k] > 0.0 {
-                // A Phase IV casualty that performed recovery work earlier
-                // is paid that wage too — it finished it before dying.
-                ledger.post(
-                    k,
-                    EntryKind::Payment,
-                    payment::recovery_wage(recovery_assigned[k], base.actual_rates[k - 1]),
-                    4,
-                );
-            }
-        }
-    }
-    for j in 1..=m {
-        if !halted.contains(&j) && recovery_assigned[j] > 0.0 {
-            ledger.post(
-                j,
-                EntryKind::Payment,
-                payment::recovery_wage(recovery_assigned[j], base.actual_rates[j - 1]),
-                4,
-            );
-        }
-    }
-
-    // Net utilities: valuation adjusted for the changed workloads, plus
-    // the rebuilt ledger. When nothing halted mid-computation no workload
-    // changed, so survivors keep their base utilities verbatim.
-    let mut net_utilities;
-    if phase3.is_empty() {
-        net_utilities = base.net_utilities.clone();
-        for e in &phase4 {
-            let k = e.node;
-            let valuation = -base.retained[k] * base.actual_rates[k - 1];
-            net_utilities[k - 1] = valuation + ledger.net(k);
-        }
-    } else {
-        net_utilities = vec![0.0; m];
-        for j in 1..=m {
-            let valuation = if let Some(pr) = &pro_rata_of[j] {
-                pr.valuation
-            } else {
-                // completed[j] = base share + recovery work performed.
-                -(base.retained[j] + recovery_assigned[j]) * base.actual_rates[j - 1]
-            };
-            net_utilities[j - 1] = valuation + ledger.net(j);
-        }
-    }
-
-    timeline.makespan = clock.now();
-    FtTreeRunReport {
-        crashed,
-        stalled,
-        detected,
-        assigned: base.assigned.clone(),
-        completed,
-        recovered_load,
-        recovery_assigned,
-        makespan: clock.now(),
-        base_makespan: base.makespan,
-        arbitrations,
-        ledger,
-        net_utilities,
-        splice_map,
-        timeline,
-    }
-}
-
-/// Layer the plan's message faults on top of the halting-fault report:
-/// each drop/corruption costs one detection timeout (and files a no-fault
-/// timeout complaint the liveness probe rejects); each delay adds its
-/// latency. Messages of halted nodes are skipped, and a leaf that sends
-/// nothing in Phases II–III has nothing to drop.
-fn apply_message_faults(report: &mut FtTreeRunReport, plan: &FaultPlan, flat: &Flat) {
-    let mut clock = obs::RunClock::starting_at(report.makespan);
-    for event in plan.message_faults() {
-        if report.crashed.contains(&event.node) || report.stalled.contains(&event.node) {
-            continue;
-        }
-        match event.kind {
-            FaultKind::DropMessage { phase } | FaultKind::CorruptMessage { phase } => {
-                let Some(receiver) = receiver_of(event.node, phase, flat) else {
-                    continue;
-                };
-                let wait = clock.advance(plan.detection_timeout);
-                obs::count!("protocol.ft.detection_timeouts", "phase" => phase);
-                obs::hist!("protocol.ft.timeout_wait", plan.detection_timeout, "phase" => phase);
-                report
-                    .timeline
-                    .push(receiver, phase, obs::TimelineKind::Timeout, wait, 0.0);
-                report.makespan = clock.now();
-                report.detected.push((receiver, event.node, phase));
-                report
-                    .arbitrations
-                    .push(to_tree_arbitration(&arbitrate_unresponsive(
-                        receiver, event.node, true,
-                    )));
-            }
-            FaultKind::DelayMessage { phase, delay } => {
-                if receiver_of(event.node, phase, flat).is_some() {
-                    clock.advance(delay);
-                    report.makespan = clock.now();
-                }
-            }
-            FaultKind::Crash { .. } | FaultKind::Stall { .. } => unreachable!("filtered"),
-        }
-    }
-    report.timeline.makespan = report.makespan;
+    Ok(from_chain_report(report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deviation::Deviation;
-    use crate::faults::FaultError;
+    use crate::faults::{FaultError, FaultKind};
 
     /// The 7-node two-level tree of the `tree_runner` tests.
     fn shape() -> TreeNode {
@@ -1206,6 +659,43 @@ mod tests {
             run_with_faults(&short, &FaultPlan::none()),
             Err(FtError::Scenario(ScenarioError::LengthMismatch { .. }))
         ));
+    }
+
+    #[test]
+    fn rejects_bad_root_and_link_rates_on_branching_trees() {
+        // Rebuilding the tree for recovery must never be the first to see
+        // a bad rate: validation rejects it with a typed error.
+        let halting = FaultPlan::crash(1, 3, 0.5);
+        let mut no_root = scenario();
+        no_root.shape.processor.w = 0.0;
+        assert!(matches!(
+            run_with_faults(&no_root, &halting),
+            Err(FtError::Scenario(ScenarioError::BadRate {
+                field: "root_rate",
+                index: 0,
+                ..
+            }))
+        ));
+        // Preorder: P_1 routes {P_2, P_3}; the link into P_3 is the third.
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            let mut s = scenario();
+            s.shape.children[0].1.children[1].0.z = bad;
+            assert!(
+                matches!(
+                    run_with_faults(&s, &halting),
+                    Err(FtError::Scenario(ScenarioError::BadRate {
+                        field: "link_rates",
+                        index: 2,
+                        ..
+                    }))
+                ),
+                "link rate {bad}"
+            );
+        }
+        // A zero link models co-located processors, as `Link::new` allows.
+        let mut colocated = scenario();
+        colocated.shape.children[0].1.children[1].0.z = 0.0;
+        assert!(run_with_faults(&colocated, &halting).is_ok());
     }
 
     #[test]

@@ -39,6 +39,7 @@
 pub mod crypto;
 pub mod deviation;
 pub mod faults;
+mod ft_engine;
 pub mod ft_reference;
 pub mod ft_runner;
 pub mod ft_tree_runner;

@@ -207,39 +207,73 @@ impl Scenario {
     /// this before touching any state; a scenario that passes cannot make
     /// the run itself divide by zero or propagate NaNs from its inputs.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let m = self.true_rates.len();
-        if m == 0 {
-            return Err(ScenarioError::NoAgents);
-        }
-        if self.link_rates.len() != m || self.deviations.len() != m {
-            return Err(ScenarioError::LengthMismatch {
-                true_rates: m,
-                link_rates: self.link_rates.len(),
-                deviations: self.deviations.len(),
-            });
-        }
-        check_positive("root_rate", 0, self.root_rate)?;
-        for (i, &t) in self.true_rates.iter().enumerate() {
-            check_positive("true_rates", i, t)?;
-        }
-        for (i, &z) in self.link_rates.iter().enumerate() {
+        check_rates(
+            self.root_rate,
+            &self.true_rates,
+            &self.link_rates,
+            false,
+            self.deviations.len(),
+        )?;
+        check_terms(&self.fine, self.solution_bonus, self.blocks)
+    }
+}
+
+/// The rate checks every protocol scenario shares, chain or tree: agents
+/// exist and line up one-to-one with their links (`link_rates[j-1]` feeds
+/// `P_j`) and deviations; the root and every agent run at finite positive
+/// rates; every link is finite and positive, or non-negative when
+/// `zero_links` allows co-located processors.
+pub(crate) fn check_rates(
+    root_rate: f64,
+    true_rates: &[f64],
+    link_rates: &[f64],
+    zero_links: bool,
+    deviations: usize,
+) -> Result<(), ScenarioError> {
+    let m = true_rates.len();
+    if m == 0 {
+        return Err(ScenarioError::NoAgents);
+    }
+    if link_rates.len() != m || deviations != m {
+        return Err(ScenarioError::LengthMismatch {
+            true_rates: m,
+            link_rates: link_rates.len(),
+            deviations,
+        });
+    }
+    check_positive("root_rate", 0, root_rate)?;
+    for (i, &t) in true_rates.iter().enumerate() {
+        check_positive("true_rates", i, t)?;
+    }
+    for (i, &z) in link_rates.iter().enumerate() {
+        if !(zero_links && z == 0.0) {
             check_positive("link_rates", i, z)?;
         }
-        let q = self.fine.audit_probability;
-        if !(q.is_finite() && (0.0..=1.0).contains(&q)) {
-            return Err(ScenarioError::BadAuditProbability(q));
-        }
-        if !(self.fine.base.is_finite() && self.fine.base >= 0.0) {
-            return Err(ScenarioError::BadFine(self.fine.base));
-        }
-        if !(self.solution_bonus.is_finite() && self.solution_bonus >= 0.0) {
-            return Err(ScenarioError::BadSolutionBonus(self.solution_bonus));
-        }
-        if self.blocks == 0 {
-            return Err(ScenarioError::ZeroBlocks);
-        }
-        Ok(())
     }
+    Ok(())
+}
+
+/// The checks every protocol scenario shares after its rates: the fine
+/// schedule, the solution bonus and the Λ granularity.
+pub(crate) fn check_terms(
+    fine: &FineSchedule,
+    solution_bonus: f64,
+    blocks: usize,
+) -> Result<(), ScenarioError> {
+    let q = fine.audit_probability;
+    if !(q.is_finite() && (0.0..=1.0).contains(&q)) {
+        return Err(ScenarioError::BadAuditProbability(q));
+    }
+    if !(fine.base.is_finite() && fine.base >= 0.0) {
+        return Err(ScenarioError::BadFine(fine.base));
+    }
+    if !(solution_bonus.is_finite() && solution_bonus >= 0.0) {
+        return Err(ScenarioError::BadSolutionBonus(solution_bonus));
+    }
+    if blocks == 0 {
+        return Err(ScenarioError::ZeroBlocks);
+    }
+    Ok(())
 }
 
 /// Everything a protocol run produced.

@@ -1,0 +1,155 @@
+//! Golden report bytes for the fault-tolerant engines.
+//!
+//! Every run of two fixed populations is rendered with `{:?}` and folded
+//! into one FNV-1a-64 digest per population:
+//!
+//! * **E22 chains** — `crash_pair_grid`, `cascade_grid` and
+//!   `seeded_multi_cases` on the E20/E22 heterogeneous chain, through
+//!   `run_with_faults`. This pins multi-halt chain runs, which the
+//!   `multi_fault` differential only checks for ≤1-halt plans.
+//! * **E24 trees** — `tree_shape_grid` × every crash position, every
+//!   internal-node pre-distribution crash and seeded mixed multi-failure
+//!   plans, through `run_tree_with_faults`. This pins branching trees,
+//!   which `tree_fault` only compares byte for byte on paths.
+//!
+//! The committed E22/E24 JSON hold rounded summaries; these digests hold
+//! every field of every report (ledger entries, arbitrations, timelines,
+//! transcripts) at full `f64` precision. A behaviour-preserving refactor
+//! of either engine must leave both digests unchanged.
+
+use protocol::{
+    run_tree_with_faults, run_with_faults, FaultKind, FaultPlan, Scenario, TreeScenario,
+};
+use workloads::{
+    cascade_grid, crash_pair_grid, crash_position_grid, seeded_multi_cases, tree_shape_grid,
+    FaultCase, FaultCaseKind,
+};
+
+/// Digest of the E22 chain population.
+const E22_DIGEST: u64 = 0x8095_2b87_2039_bef9;
+/// Digest of the E24 tree population.
+const E24_DIGEST: u64 = 0x07f5_db15_9d47_4c5c;
+
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold one report's debug rendering, newline-terminated.
+    fn report(&mut self, report: &impl std::fmt::Debug) {
+        self.write(format!("{report:?}\n").as_bytes());
+    }
+}
+
+fn to_plan(cases: &[FaultCase]) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    for case in cases {
+        let kind = match case.kind {
+            FaultCaseKind::Crash => FaultKind::Crash {
+                phase: case.phase,
+                progress: case.progress,
+            },
+            FaultCaseKind::Stall => FaultKind::Stall {
+                progress: case.progress,
+            },
+            FaultCaseKind::DropMessage => FaultKind::DropMessage { phase: case.phase },
+            FaultCaseKind::DelayMessage => FaultKind::DelayMessage {
+                phase: case.phase,
+                delay: case.delay,
+            },
+            FaultCaseKind::CorruptMessage => FaultKind::CorruptMessage { phase: case.phase },
+        };
+        plan = plan.with_event(case.node, kind);
+    }
+    plan
+}
+
+/// The E20/E22 heterogeneous chain with `m` strategic processors.
+fn chain(m: usize) -> Scenario {
+    let true_rates: Vec<f64> = (0..m).map(|j| 0.6 + 0.8 * ((j * 5 % 4) as f64)).collect();
+    let link_rates: Vec<f64> = (0..m).map(|j| 0.1 + 0.12 * ((j * 3 % 3) as f64)).collect();
+    Scenario::honest(1.0, true_rates, link_rates)
+}
+
+/// Does strategic node `k` (preorder) route a subtree?
+fn has_children(shape: &dlt::model::TreeNode, k: usize) -> bool {
+    fn walk(node: &dlt::model::TreeNode, idx: &mut usize, k: usize) -> Option<bool> {
+        let here = *idx;
+        *idx += 1;
+        if here == k {
+            return Some(!node.children.is_empty());
+        }
+        node.children.iter().find_map(|(_, c)| walk(c, idx, k))
+    }
+    walk(shape, &mut 0, k).unwrap_or(false)
+}
+
+#[test]
+fn e22_chain_population_report_bytes_are_pinned() {
+    const PHASE_PAIRS: [(u8, u8); 5] = [(1, 1), (3, 3), (4, 4), (1, 3), (3, 4)];
+    let mut plans: Vec<(Scenario, Vec<FaultCase>)> = Vec::new();
+    for m in 3..=6usize {
+        for cases in crash_pair_grid(m, &PHASE_PAIRS, 0.5) {
+            plans.push((chain(m), cases));
+        }
+    }
+    for cases in cascade_grid(6, 4, &[0.25, 0.5, 0.75]) {
+        plans.push((chain(6), cases));
+    }
+    for m in 2..=7usize {
+        for cases in seeded_multi_cases(0xE22, m, 60, 3) {
+            plans.push((chain(m), cases));
+        }
+    }
+    assert_eq!(plans.len(), 709, "the E22 population changed size");
+
+    let mut digest = Fnv::new();
+    for (s, cases) in &plans {
+        digest.report(&run_with_faults(s, &to_plan(cases)).expect("valid plan"));
+    }
+    assert_eq!(
+        digest.0, E22_DIGEST,
+        "E22 report bytes changed: digest {:#018x}",
+        digest.0
+    );
+}
+
+#[test]
+fn e24_tree_population_report_bytes_are_pinned() {
+    let mut runs = 0usize;
+    let mut digest = Fnv::new();
+    for case in tree_shape_grid(0xE24) {
+        let s = TreeScenario::honest(case.shape.clone(), case.true_rates.clone());
+        let m = case.num_agents();
+        let mut plans: Vec<Vec<FaultCase>> = crash_position_grid(m, &[0.0, 0.5, 1.0])
+            .into_iter()
+            .map(|c| vec![c])
+            .collect();
+        plans.extend(
+            (1..=m)
+                .filter(|&k| has_children(&s.shape, k))
+                .map(|k| vec![FaultCase::crash(k, 1, 0.0)]),
+        );
+        plans.extend(seeded_multi_cases(0xE24, m, 60, 3));
+        for cases in &plans {
+            digest.report(&run_tree_with_faults(&s, &to_plan(cases)).expect("valid plan"));
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 782, "the E24 population changed size");
+    assert_eq!(
+        digest.0, E24_DIGEST,
+        "E24 report bytes changed: digest {:#018x}",
+        digest.0
+    );
+}
