@@ -83,7 +83,7 @@ fn batch_core(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("suffix_loop", m), &net, |b, net| {
             b.iter(|| {
                 for i in 0..net.len() {
-                    black_box(linear::solve_suffix(net, i));
+                    black_box(linear::solve(&net.suffix(i)));
                 }
             })
         });

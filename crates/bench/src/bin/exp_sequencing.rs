@@ -2,7 +2,8 @@
 //! optimal, and the tree mechanism needs it.
 //!
 //! Verifies the classical single-level-tree sequencing result by
-//! exhaustive search over all `m!` orders on random stars, quantifies how
+//! exhaustive search over all `m!` orders on random stars (each searched
+//! once, as a depth-1 tree through `dlt::seqsearch`), quantifies how
 //! much a bad order costs, and demonstrates the incentive consequence
 //! uncovered during this reproduction: with an **uncanonicalized** child
 //! order, the fixed-order equal-finish solution can *improve* when a
@@ -14,13 +15,20 @@
 //! ```
 
 use bench::{par_sweep, Stats, Table};
-use dlt::model::StarNetwork;
-use dlt::sequencing::{
-    ascending_is_optimal, ascending_link_order, order_makespan, try_exhaustive_best_order,
-    DEFAULT_ORDER_BUDGET,
-};
+use dlt::model::{StarNetwork, TreeNode};
+use dlt::seqsearch::{canonical_order, exhaustive_search, order_makespan};
 use dlt::star;
 use workloads::ChainConfig;
+
+/// Evaluation budget of the exhaustive search: `9!`, well above the
+/// largest star searched here (`7!`).
+const ORDER_BUDGET: u64 = 362_880;
+
+/// Makespan of a star served in ascending link-rate order.
+fn ascending_makespan(net: &StarNetwork) -> f64 {
+    let t = TreeNode::from_star(net);
+    order_makespan(&t, &canonical_order(&t))
+}
 
 fn main() {
     println!("E18: service-order sequencing on star networks");
@@ -35,9 +43,9 @@ fn main() {
                 ..Default::default()
             };
             let net = workloads::star(&cfg, seed);
-            let optimal = ascending_is_optimal(&net, 1e-9);
-            let search = try_exhaustive_best_order(&net, DEFAULT_ORDER_BUDGET)
-                .expect("m <= 7 fits the default factorial budget");
+            let search = exhaustive_search(&TreeNode::from_star(&net), ORDER_BUDGET)
+                .expect("m <= 7 fits the factorial budget");
+            let optimal = ascending_makespan(&net) <= search.best_makespan + 1e-9;
             let spread = search.worst_makespan / search.best_makespan;
             (optimal, spread)
         });
@@ -76,7 +84,7 @@ fn main() {
     for &w_a in &[2.0, 2.4, 2.8, 3.2, 3.6, 4.0] {
         let bad = mk(w_a);
         let net = StarNetwork::from_rates(&[2.1, w_a, 0.5], &[0.6568, 0.0969]);
-        let good = order_makespan(&net, &ascending_link_order(&net));
+        let good = ascending_makespan(&net);
         if bad < prev - 1e-12 {
             decreased = true;
         }
@@ -96,7 +104,7 @@ fn main() {
     let mut prev = f64::NEG_INFINITY;
     for &w_a in &[2.0, 2.4, 2.8, 3.2, 3.6, 4.0] {
         let net = StarNetwork::from_rates(&[2.1, w_a, 0.5], &[0.6568, 0.0969]);
-        let good = order_makespan(&net, &ascending_link_order(&net));
+        let good = ascending_makespan(&net);
         assert!(
             good >= prev - 1e-12,
             "ascending order must be monotone in w_A"

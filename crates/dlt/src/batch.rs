@@ -11,10 +11,10 @@
 //! **across chains** (independent lanes of a length-cohort laid out
 //! contiguously so the inner loops auto-vectorize), never across the
 //! sequential `w̄` recurrence of a single chain — reassociating that
-//! recurrence would change results. This is what lets the sweep binaries,
-//! the serving layer's cold-solve path and the fault runners' residual
-//! re-solves all route through this core without perturbing a single byte of
-//! any report.
+//! recurrence would change results. This is what lets batch callers (the
+//! E2/E27 sweeps) and the payment layer route through this core without
+//! perturbing a single byte of any report. Single chains are solved by
+//! [`crate::linear::solve`], which performs the same per-lane operations.
 //!
 //! ## Layout
 //!
@@ -308,43 +308,15 @@ pub fn solve_many(nets: &[LinearNetwork]) -> BatchSolution {
 }
 
 thread_local! {
-    /// Warm per-thread workspace backing [`solve_many`] and [`solve_one`].
+    /// Warm per-thread workspace backing [`solve_many`].
     static SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
 }
 
-/// Solve a single chain through the batch kernel (one lane). Bit-identical
-/// to `reference::solve`; the lane buffers come from a warm thread-local
-/// scratch so the only allocations are the returned solution's own vectors.
-/// This is the routing point for single-chain hot callers (the serving
-/// layer's cold solves, the fault runners' residual re-solves).
+/// Solve a single chain: [`crate::linear::solve`], kept under this name for
+/// callers that time the batch module's single-chain entry point. No
+/// library path calls it.
 pub fn solve_one(net: &LinearNetwork) -> LinearSolution {
-    obs::count!("dlt.batch.solve_one", "m" => net.last_index());
-    SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        let len = net.len();
-        scratch.lane_w.clear();
-        scratch.lane_w.extend((0..len).map(|i| net.w(i)));
-        scratch.lane_z.clear();
-        scratch.lane_z.extend((1..len).map(|j| net.z(j)));
-        let mut alpha_hat = vec![0.0; len];
-        let mut w_bar = vec![0.0; len];
-        let mut alloc = vec![0.0; len];
-        sweep_cohort(
-            len,
-            1,
-            &scratch.lane_w,
-            &scratch.lane_z,
-            &mut alpha_hat,
-            &mut w_bar,
-            &mut alloc,
-            &mut scratch.carried,
-        );
-        LinearSolution {
-            local: LocalAllocation::new(alpha_hat),
-            alloc: crate::model::Allocation::new(alloc),
-            equivalent: w_bar,
-        }
-    })
+    crate::linear::solve(net)
 }
 
 /// Every suffix solution of one chain, from a single O(m) backward sweep.
@@ -355,7 +327,7 @@ pub fn solve_one(net: &LinearNetwork) -> LinearSolution {
 /// `α̂·w`) and the `equivalent_time`-style values (`w·t/(w+t)`), which are
 /// distinct FP operation orders and distinct bit-identity targets — the
 /// payment functions use both.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuffixSolutions {
     alpha_hat: Vec<f64>,
     w_bar: Vec<f64>,
@@ -363,18 +335,13 @@ pub struct SuffixSolutions {
 }
 
 impl SuffixSolutions {
-    /// An empty buffer for [`solve_all_suffixes_into`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of processors (= number of suffixes).
     #[inline]
     pub fn len(&self) -> usize {
         self.alpha_hat.len()
     }
 
-    /// True if nothing has been solved into this buffer yet.
+    /// True if there are no suffixes (never, for a solved chain).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.alpha_hat.is_empty()
@@ -415,15 +382,15 @@ impl SuffixSolutions {
     }
 }
 
-/// Compute [`SuffixSolutions`] for `net` into a reusable buffer.
-pub fn solve_all_suffixes_into(net: &LinearNetwork, out: &mut SuffixSolutions) {
+/// Every suffix solution of `net` in one O(m) backward sweep.
+pub fn solve_all_suffixes(net: &LinearNetwork) -> SuffixSolutions {
+    obs::count!("dlt.batch.solve_all_suffixes", "m" => net.last_index());
     let m = net.last_index();
-    out.alpha_hat.clear();
-    out.alpha_hat.resize(m + 1, 0.0);
-    out.w_bar.clear();
-    out.w_bar.resize(m + 1, 0.0);
-    out.eq_time.clear();
-    out.eq_time.resize(m + 1, 0.0);
+    let mut out = SuffixSolutions {
+        alpha_hat: vec![0.0; m + 1],
+        w_bar: vec![0.0; m + 1],
+        eq_time: vec![0.0; m + 1],
+    };
     out.alpha_hat[m] = 1.0;
     out.w_bar[m] = net.w(m);
     out.eq_time[m] = net.w(m);
@@ -437,13 +404,6 @@ pub fn solve_all_suffixes_into(net: &LinearNetwork, out: &mut SuffixSolutions) {
         let et_tail = out.eq_time[i + 1] + net.z(i + 1);
         out.eq_time[i] = net.w(i) * et_tail / (net.w(i) + et_tail);
     }
-}
-
-/// Every suffix solution of `net` in one O(m) backward sweep (fresh buffer).
-pub fn solve_all_suffixes(net: &LinearNetwork) -> SuffixSolutions {
-    obs::count!("dlt.batch.solve_all_suffixes", "m" => net.last_index());
-    let mut out = SuffixSolutions::new();
-    solve_all_suffixes_into(net, &mut out);
     out
 }
 

@@ -24,9 +24,9 @@
 //! * [`star`], [`tree`], [`interior`] — companion architectures (bus/star
 //!   \[14\], tree \[9\], interior origination §6) for cross-architecture
 //!   experiments.
-//! * [`sequencing`], [`seqsearch`] — service-order analysis: the star
-//!   sequencing result, and budget-guarded exhaustive + seeded local
-//!   search over chain/tree order spaces.
+//! * [`seqsearch`] — service-order search: budget-guarded exhaustive and
+//!   seeded local search over chain, star and tree order spaces (a star is
+//!   a depth-1 tree, [`TreeNode::from_star`]).
 //! * [`closed_form`] — hand-derived formulas cross-checking the solvers.
 //! * [`optimal`] — perturbation probes and the monotonicity lemmas that
 //!   power the strategyproofness proof.
@@ -64,7 +64,6 @@ pub mod multiround;
 pub mod optimal;
 pub mod reduction;
 pub mod seqsearch;
-pub mod sequencing;
 pub mod star;
 pub mod timing;
 pub mod tree;

@@ -93,14 +93,6 @@ pub fn reduce_pair(w: f64, z: f64, w_next: f64) -> (f64, f64) {
     (alpha_hat, alpha_hat * w)
 }
 
-/// Solve for the optimal allocation of the sub-chain starting at processor
-/// `i`, treating that sub-chain as an isolated network handed a unit load.
-/// Used by the mechanism's per-agent payment computation, which needs the
-/// equivalent time of `P_{j-1} … P_m` under counterfactual bids.
-pub fn solve_suffix(net: &LinearNetwork, i: usize) -> LinearSolution {
-    solve(&net.suffix(i))
-}
-
 /// The surviving chain after processor `dead` crash-stops: `P_dead` is
 /// removed and, when it was interior, the two links around it are fused
 /// into one of rate `z_dead + z_{dead+1}` — load bound for `P_{dead+1}`

@@ -2,7 +2,8 @@
 //! oracle for the batch core.
 //!
 //! This module is a verbatim snapshot of `dlt::linear::{solve,
-//! equivalent_time, solve_suffix}` taken when `dlt::batch` was introduced.
+//! equivalent_time}` taken when `dlt::batch` was introduced, plus the
+//! suffix solve the payment oracles use.
 //! The differential test suite (`dlt/tests/batch_identity.rs`) and the E27
 //! experiment pin every batch-core output byte-for-byte against these
 //! functions, and a drift test in `linear` pins the live scalar solver
@@ -52,7 +53,7 @@ pub fn equivalent_time(net: &LinearNetwork) -> f64 {
     w_bar
 }
 
-/// Frozen suffix solve (see [`crate::linear::solve_suffix`]).
+/// Frozen suffix solve: [`solve`] on the sub-chain `P_i … P_m`.
 pub fn solve_suffix(net: &LinearNetwork, i: usize) -> LinearSolution {
     solve(&net.suffix(i))
 }
@@ -81,7 +82,7 @@ mod tests {
                 super::equivalent_time(net).to_bits()
             );
             for i in 0..net.len() {
-                let a = crate::linear::solve_suffix(net, i);
+                let a = crate::linear::solve(&net.suffix(i));
                 let b = super::solve_suffix(net, i);
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "suffix {i}");
             }

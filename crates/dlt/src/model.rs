@@ -353,6 +353,17 @@ impl TreeNode {
         }
         node
     }
+
+    /// Build a star as a depth-1 tree: the star's root with one leaf per
+    /// child, in distribution order. Solving it through [`crate::tree`]
+    /// runs the same `star::solve` call as solving the star directly.
+    pub fn from_star(net: &StarNetwork) -> Self {
+        let leaf = |&(link, child): &(Link, Processor)| (link, TreeNode::leaf(child.w));
+        TreeNode {
+            processor: net.root(),
+            children: net.children().iter().map(leaf).collect(),
+        }
+    }
 }
 
 /// A load allocation: the fraction of the unit load assigned to each
@@ -712,6 +723,18 @@ mod tests {
         assert_eq!(l2.z, 0.25);
         assert_eq!(c2.processor.w, 3.0);
         assert!(c2.children.is_empty());
+    }
+
+    #[test]
+    fn tree_from_star_is_depth_one() {
+        let star = StarNetwork::from_rates(&[1.0, 2.0, 3.0], &[0.1, 0.2]);
+        let tree = TreeNode::from_star(&star);
+        assert_eq!(tree.size(), 3);
+        assert_eq!(tree.depth(), 2);
+        assert_eq!(tree.processor.w, 1.0);
+        let (l2, c2) = &tree.children[1];
+        assert_eq!(l2.z, 0.2);
+        assert_eq!(c2.processor.w, 3.0);
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Sequencing search over chain and tree service orders.
+//! Sequencing search over chain, star and tree service orders.
 //!
-//! [`crate::sequencing`] studies the star special case: one root, one
-//! permutation of `m` children. This module generalizes the *order space*
-//! to arbitrary trees (and degenerate chains): every internal node serves
-//! its children in some permutation, so a full service order is one
+//! With one-port sequential distribution, the order in which a node serves
+//! its children is a degree of freedom. Every internal node serves its
+//! children in some permutation, so a full service order is one
 //! permutation **per node** ([`TreeOrder`]), and the space has
-//! `∏ fanout_i!` points ([`order_space_size`]). Two searchers cover it:
+//! `∏ fanout_i!` points ([`order_space_size`]). A star is the depth-1
+//! case ([`TreeNode::from_star`]): one permutation of its `m` children,
+//! `m!` orders. Two searchers cover the space:
 //!
 //! * [`exhaustive_search`] — the ground-truth oracle. It enumerates the
 //!   whole product space behind an **explicit budget guard**
 //!   ([`BudgetExceeded`]) instead of silently exploding: callers state how
 //!   many evaluations they are willing to pay and get a typed error past
-//!   that, which is also how the star-only
-//!   [`crate::sequencing::try_exhaustive_best_order`] is implemented.
+//!   that.
 //! * [`local_search`] — a seeded, deterministic first-class citizen for
 //!   large trees: steepest-descent over an adjacent-swap + subtree-reorder
 //!   neighborhood with seeded random restarts. Restart 0 always starts
@@ -29,7 +29,7 @@
 //!
 //! The classical sequencing result (serve faster links first) predicts
 //! the canonical order is globally optimal in this model: the oracle lets
-//! experiment E29 *verify* that across the tree population rather than
+//! experiments E18 (stars) and E29 (trees) *verify* that rather than
 //! assume it, and the mechanism layer (`mechanism::dls_tree`) uses
 //! searched orders to test whether strategyproofness survives sequencing
 //! optimization (it does for bid-independent frozen orders; it breaks for
@@ -119,15 +119,18 @@ pub fn apply_order(root: &TreeNode, order: &TreeOrder) -> TreeNode {
             "order does not fit the tree at preorder node {id}"
         );
         // Rebuild subtrees in *original* preorder (the counter must advance
-        // through the input tree's layout), then arrange them per the perm.
-        let rebuilt: Vec<_> = node
+        // through the input tree's layout), then move them into perm order.
+        let mut rebuilt: Vec<_> = node
             .children
             .iter()
-            .map(|(l, c)| (*l, walk(c, order, next)))
+            .map(|(l, c)| Some((*l, walk(c, order, next))))
             .collect();
         TreeNode {
             processor: node.processor,
-            children: perm.iter().map(|&k| rebuilt[k].clone()).collect(),
+            children: perm
+                .iter()
+                .map(|&k| rebuilt[k].take().expect("order entry is a permutation"))
+                .collect(),
         }
     }
     let mut next = 0;
@@ -140,63 +143,32 @@ pub fn apply_order(root: &TreeNode, order: &TreeOrder) -> TreeNode {
 /// `map[old] = new` maps `root`'s preorder indices to the reordered
 /// tree's. The root always maps to itself.
 pub fn apply_order_mapped(root: &TreeNode, order: &TreeOrder) -> (TreeNode, Vec<usize>) {
-    // Tag each node with its original preorder index, reorder, then walk
-    // the reordered shape assigning new preorder numbers.
-    struct Tagged {
+    // Walk the input tree in service order: nodes are met in the reordered
+    // tree's preorder. A child's input preorder index follows its parent's
+    // and its earlier siblings' subtrees.
+    fn renumber(
+        node: &TreeNode,
         old: usize,
-        node: TreeNode,
-        children_tags: Vec<Tagged>,
-    }
-    fn tag(node: &TreeNode, order: &TreeOrder, next: &mut usize) -> Tagged {
-        let old = *next;
+        order: &TreeOrder,
+        next: &mut usize,
+        map: &mut [usize],
+    ) {
+        map[old] = *next;
         *next += 1;
-        let perm = &order.perms[old];
-        assert_eq!(
-            perm.len(),
-            node.children.len(),
-            "order does not fit the tree at preorder node {old}"
-        );
-        let rebuilt: Vec<Tagged> = node
-            .children
-            .iter()
-            .map(|(_, c)| tag(c, order, next))
-            .collect();
-        let children_tags: Vec<Tagged> = perm.iter().map(|&k| clone_tag(&rebuilt[k])).collect();
-        let children = perm
-            .iter()
-            .zip(&children_tags)
-            .map(|(&k, t)| (node.children[k].0, t.node.clone()))
-            .collect();
-        Tagged {
-            old,
-            node: TreeNode {
-                processor: node.processor,
-                children,
-            },
-            children_tags,
+        let mut first = Vec::with_capacity(node.children.len());
+        let mut at = old + 1;
+        for (_, c) in &node.children {
+            first.push(at);
+            at += c.size();
+        }
+        for &k in &order.perms[old] {
+            renumber(&node.children[k].1, first[k], order, next, map);
         }
     }
-    fn clone_tag(t: &Tagged) -> Tagged {
-        Tagged {
-            old: t.old,
-            node: t.node.clone(),
-            children_tags: t.children_tags.iter().map(clone_tag).collect(),
-        }
-    }
-    fn renumber(t: &Tagged, next: &mut usize, map: &mut [usize]) {
-        map[t.old] = *next;
-        *next += 1;
-        for c in &t.children_tags {
-            renumber(c, next, map);
-        }
-    }
-    let mut next = 0;
-    let tagged = tag(root, order, &mut next);
-    let n = next;
-    let mut map = vec![0; n];
-    let mut next = 0;
-    renumber(&tagged, &mut next, &mut map);
-    (tagged.node, map)
+    let ordered = apply_order(root, order);
+    let mut map = vec![0; order.perms.len()];
+    renumber(root, 0, order, &mut 0, &mut map);
+    (ordered, map)
 }
 
 /// Equal-finish makespan of `root` when served per `order`, through the
@@ -468,8 +440,8 @@ pub fn local_search(root: &TreeNode, cfg: &LocalSearchConfig) -> LocalSearchOutc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear;
-    use crate::model::LinearNetwork;
+    use crate::model::{LinearNetwork, StarNetwork};
+    use crate::{linear, star};
 
     fn branchy() -> TreeNode {
         TreeNode::internal(
@@ -486,6 +458,14 @@ mod tests {
                 (0.2, TreeNode::leaf(1.4)),
             ],
         )
+    }
+
+    /// A star as a depth-1 tree: links 0.66, 0.1, 0.4, 0.05.
+    fn star() -> TreeNode {
+        TreeNode::from_star(&StarNetwork::from_rates(
+            &[1.0, 2.0, 0.7, 3.0, 1.1],
+            &[0.66, 0.1, 0.4, 0.05],
+        ))
     }
 
     #[test]
@@ -506,6 +486,7 @@ mod tests {
         assert_eq!(order.perms[1], vec![1, 0]);
         let ordered = apply_order(&t, &order);
         assert_eq!(ordered, tree::canonicalize(&t));
+        assert_eq!(canonical_order(&star()).perms[0], vec![3, 1, 2, 0]);
     }
 
     #[test]
@@ -549,25 +530,50 @@ mod tests {
 
     #[test]
     fn exhaustive_covers_the_product_space() {
-        let t = branchy();
-        // Root fanout 3, internal fanout 2 → 3! · 2! = 12 orders.
-        assert_eq!(order_space_size(&t), Some(12));
-        assert_eq!(orderable_nodes(&t), 5);
-        let search = exhaustive_search(&t, 12).expect("within budget");
-        assert_eq!(search.evaluated, 12);
-        assert!(search.best_makespan <= search.worst_makespan);
-        assert!(search.best_order.is_valid(&t));
+        // Branchy: root fanout 3, internal fanout 2 → 3! · 2! = 12 orders.
+        // Star: 4 children → 4! = 24 orders.
+        for (t, orders, orderable) in [(branchy(), 12, 5), (star(), 24, 4)] {
+            assert_eq!(order_space_size(&t), Some(orders as u128));
+            assert_eq!(orderable_nodes(&t), orderable);
+            let search = exhaustive_search(&t, orders).expect("within budget");
+            assert_eq!(search.evaluated, orders);
+            assert!(search.best_makespan <= search.worst_makespan);
+            assert!(search.best_order.is_valid(&t));
+        }
     }
 
     #[test]
     fn exhaustive_optimum_is_the_canonical_order_makespan() {
-        let t = branchy();
-        let search = exhaustive_search(&t, 1_000).unwrap();
-        let canon = order_makespan(&t, &canonical_order(&t));
+        for t in [branchy(), star()] {
+            let search = exhaustive_search(&t, 1_000).unwrap();
+            let canon = order_makespan(&t, &canonical_order(&t));
+            assert!(
+                canon <= search.best_makespan + 1e-12,
+                "classical sequencing: canonical {canon} vs oracle {}",
+                search.best_makespan
+            );
+        }
+    }
+
+    #[test]
+    fn star_order_matters_only_with_heterogeneous_links() {
+        let search = exhaustive_search(&star(), 24).unwrap();
         assert!(
-            canon <= search.best_makespan + 1e-12,
-            "classical sequencing: canonical {canon} vs oracle {}",
-            search.best_makespan
+            search.worst_makespan > search.best_makespan + 1e-6,
+            "with spread-out link rates the order must matter"
+        );
+        let bus = TreeNode::from_star(&StarNetwork::bus(1.0, &[2.0, 2.0, 2.0], 0.3));
+        let search = exhaustive_search(&bus, 6).unwrap();
+        assert_eq!(search.worst_makespan, search.best_makespan);
+    }
+
+    #[test]
+    fn star_as_tree_solves_through_star_solve() {
+        let net = StarNetwork::from_rates(&[1.0, 2.0, 0.7, 3.0, 1.1], &[0.66, 0.1, 0.4, 0.05]);
+        let t = TreeNode::from_star(&net);
+        assert_eq!(
+            order_makespan(&t, &identity_order(&t)).to_bits(),
+            star::solve(&net).makespan.to_bits()
         );
     }
 

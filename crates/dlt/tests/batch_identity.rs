@@ -17,7 +17,8 @@
 //!   reference, for *both* recursion orders (solve-style `w̄` and
 //!   `equivalent_time`-style);
 //! * dirty-scratch reuse (a poisoned workspace must not perturb results);
-//! * splice-survivor chains (the fault runners' re-solve inputs);
+//! * splice-survivor chains (the fault runners' re-solve inputs, solved by
+//!   `linear::solve`);
 //! * degenerate chains (single processor, two processors, zero links);
 //! * the exact-rational oracle: on integer-rate chains the batch core's
 //!   f64 output sits within 1e-12 of the arbitrary-precision ground truth,
@@ -133,7 +134,7 @@ proptest! {
     }
 
     /// Splice-survivor chains are what the fault runners re-solve after a
-    /// crash; routing them through the batch core must not move a bit.
+    /// crash; the live solver must not move a bit on them.
     #[test]
     fn splice_survivors_stay_bit_identical(
         net in chain_strategy(),
@@ -143,7 +144,7 @@ proptest! {
         let dead = 1 + pick % (net.len() - 1);
         let survivor = linear::splice(&net, dead);
         prop_assert_eq!(
-            dbg(&batch::solve_one(&survivor)),
+            dbg(&linear::solve(&survivor)),
             dbg(&reference::solve(&survivor))
         );
     }
@@ -161,7 +162,7 @@ fn degenerate_chains_are_bit_identical() {
     for (i, net) in nets.iter().enumerate() {
         let want = reference::solve(net);
         assert_eq!(format!("{:?}", got.solution(i)), format!("{want:?}"));
-        assert_eq!(format!("{:?}", batch::solve_one(net)), format!("{want:?}"));
+        assert_eq!(format!("{:?}", linear::solve(net)), format!("{want:?}"));
     }
     // The m = 1 chain allocates everything to the root.
     assert_eq!(got.alloc(0), &[1.0]);

@@ -25,6 +25,7 @@
 
 use crate::agent::{Agent, Conduct};
 use crate::payment::{self, PaymentBreakdown, PaymentInputs};
+use dlt::batch;
 use dlt::interior::{InteriorNetwork, ServiceOrder};
 use dlt::model::LinearNetwork;
 
@@ -155,6 +156,7 @@ impl DlsInterior {
 
         let settle_arm = |arm: Arm, conducts: &[Conduct], bids: &[f64]| {
             let net = self.arm_network(arm, bids);
+            let sfx = batch::solve_all_suffixes(&net);
             conducts
                 .iter()
                 .enumerate()
@@ -176,7 +178,7 @@ impl DlsInterior {
                         arm,
                         position,
                         assigned,
-                        breakdown: payment::settle(&net, position, inputs, 0.0),
+                        breakdown: payment::settle_with(&sfx, &net, position, inputs, 0.0),
                     }
                 })
                 .collect::<Vec<_>>()

@@ -9,8 +9,7 @@
 
 use crate::agent::{Agent, Conduct};
 use crate::payment::{self, PaymentBreakdown, PaymentInputs};
-use dlt::batch;
-use dlt::linear::LinearSolution;
+use dlt::linear::{self, LinearSolution};
 use dlt::model::LinearNetwork;
 
 /// Configuration of the mechanism.
@@ -106,8 +105,7 @@ impl DlsLbl {
     }
 
     /// The output function `α(w)`: assemble the bid network and run
-    /// Algorithm 1 (through the batch solver core — bit-identical to the
-    /// scalar solver by the `dlt::batch` contract).
+    /// Algorithm 1 ([`dlt::linear::solve`]).
     pub fn allocate(&self, bids: &[f64]) -> (LinearNetwork, LinearSolution) {
         assert_eq!(
             bids.len(),
@@ -118,7 +116,7 @@ impl DlsLbl {
         w.push(self.root_rate);
         w.extend_from_slice(bids);
         let net = LinearNetwork::from_rates(&w, &self.link_rates);
-        let sol = batch::solve_one(&net);
+        let sol = linear::solve(&net);
         (net, sol)
     }
 

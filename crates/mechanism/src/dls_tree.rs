@@ -21,7 +21,7 @@
 //! the Archer–Tardos realization in [`crate::archer_tardos`]).
 
 use crate::agent::{Agent, Conduct};
-use crate::payment::{compensation, recompense, valuation};
+use crate::payment::{self, PaymentInputs};
 use dlt::model::{Link, Processor, StarNetwork, TreeNode};
 use dlt::seqsearch::{self, TreeOrder};
 use dlt::{star, tree};
@@ -266,7 +266,6 @@ impl TreeMechanism {
         let order = self.service_order(&instantiated);
         let (ordered, map) = seqsearch::apply_order_mapped(&instantiated, &order);
         let solution = tree::solve(&ordered);
-        let makespan = tree::makespan(&ordered);
         let n = self.agents + 1;
         let mut old_of_new = vec![0usize; n];
         for (old, &new) in map.iter().enumerate() {
@@ -287,7 +286,7 @@ impl TreeMechanism {
             infos[old] = Some(NodeInfo {
                 parent,
                 rate: node.processor.w,
-                equivalent: tree::equivalent_time(node),
+                equivalent: sol.equivalent,
                 assigned: sol.alpha,
                 alpha_hat: if sol.received > 1e-300 {
                     sol.alpha / sol.received
@@ -320,7 +319,7 @@ impl TreeMechanism {
             .into_iter()
             .map(|i| i.expect("every preorder node visited"))
             .collect();
-        (infos, makespan, solution.alpha)
+        (infos, solution.equivalent, solution.alpha)
     }
 
     /// The tree analogue of eqs. 4.10–4.11: agent `j`'s adjusted subtree
@@ -372,31 +371,22 @@ impl TreeMechanism {
                 let c = &conducts[j - 1];
                 let assigned = info.assigned;
                 let actual_load = c.actual_load.unwrap_or(assigned);
-                let v = valuation(actual_load, c.actual_rate);
-                if actual_load <= 0.0 {
-                    return TreeAgentOutcome {
-                        agent: j,
-                        assigned,
-                        actual_load,
-                        bonus: 0.0,
-                        payment: 0.0,
-                        utility: v,
-                    };
-                }
-                let comp = compensation(assigned, actual_load, c.actual_rate);
-                let _e = recompense(assigned, actual_load, c.actual_rate);
+                let inputs = PaymentInputs {
+                    assigned_load: assigned,
+                    actual_load,
+                    actual_rate: c.actual_rate,
+                };
                 let p = info.parent.expect("non-root");
                 let w_hat = Self::adjusted_equivalent(info, c.actual_rate);
                 let realized = Self::realized_parent_equivalent(&infos, p, j, w_hat);
-                let bonus = infos[p].rate - realized;
-                let payment = comp + bonus;
+                let b = payment::breakdown(inputs, infos[p].rate - realized, 0.0);
                 TreeAgentOutcome {
                     agent: j,
                     assigned,
                     actual_load,
-                    bonus,
-                    payment,
-                    utility: v + payment,
+                    bonus: b.bonus,
+                    payment: b.payment,
+                    utility: b.utility,
                 }
             })
             .collect();

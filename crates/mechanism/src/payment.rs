@@ -125,66 +125,45 @@ pub fn bonus(bids: &LinearNetwork, j: usize, actual_rate: f64) -> f64 {
     bids.w(j - 1) - realized_predecessor_equivalent(bids, j, actual_rate)
 }
 
-/// [`adjusted_equivalent`] evaluated from a precomputed suffix sweep:
-/// `sfx.alpha_hat_front(j)` / `sfx.makespan(j)` are bit-identical to the
-/// `solve(&bids.suffix(j))` quantities of the scalar path, and the branch
-/// structure and FP operations mirror [`adjusted_equivalent`] exactly.
-fn adjusted_equivalent_from(
-    sfx: &SuffixSolutions,
-    bids: &LinearNetwork,
-    j: usize,
-    actual_rate: f64,
-) -> f64 {
+/// Bonus `B_j` (eq. 4.9) from a precomputed suffix sweep of the bids:
+/// bit-identical to [`bonus`], which re-solves the suffix chains. The
+/// branch structure and FP operations mirror [`adjusted_equivalent`] and
+/// [`realized_predecessor_equivalent`]; `sfx.alpha_hat_front(j)` and
+/// `sfx.makespan(j)` are the `solve(&bids.suffix(j))` quantities, and
+/// `sfx.equivalent_time(j)` is `equivalent_time(&bids.suffix(j))` (a
+/// *different* FP operation order than `solve` — both recursions live in
+/// the sweep precisely so this stays bit-identical).
+fn bonus_from(sfx: &SuffixSolutions, bids: &LinearNetwork, j: usize, actual_rate: f64) -> f64 {
     let m = bids.last_index();
     assert!(
         j >= 1 && j <= m,
         "payments are defined for strategic processors 1..=m"
     );
-    if j == m {
-        // eq. 4.10: the terminal processor's equivalent is itself.
-        return actual_rate;
-    }
-    if actual_rate >= bids.w(j) {
-        sfx.alpha_hat_front(j) * actual_rate // eq. 4.11, slow case
+    // eqs. 4.10–4.11: the adjusted equivalent ŵ_j.
+    let w_hat_j = if j == m {
+        actual_rate
+    } else if actual_rate >= bids.w(j) {
+        sfx.alpha_hat_front(j) * actual_rate
     } else {
-        sfx.makespan(j) // eq. 4.11, fast case: equivalent time unchanged
-    }
-}
-
-/// [`realized_predecessor_equivalent`] evaluated from a precomputed suffix
-/// sweep. `sfx.equivalent_time(j)` reproduces the scalar path's
-/// `equivalent_time(&bids.suffix(j))` (which uses a *different* FP operation
-/// order than `solve` — both recursions live in the sweep precisely so this
-/// stays bit-identical).
-fn realized_predecessor_equivalent_from(
-    sfx: &SuffixSolutions,
-    bids: &LinearNetwork,
-    j: usize,
-    actual_rate: f64,
-) -> f64 {
-    assert!(j >= 1);
+        sfx.makespan(j)
+    };
+    // The realized predecessor equivalent, split fixed by the bids (eq. 2.7).
     let w_pred = bids.w(j - 1);
     let z_j = bids.z(j);
-    let w_bar_j = sfx.equivalent_time(j);
-    // Local split of P_{j-1} vs its successor segment, from the bids (eq. 2.7).
-    let tail = w_bar_j + z_j;
+    let tail = sfx.equivalent_time(j) + z_j;
     let alpha_hat_pred = tail / (w_pred + tail);
-    let w_hat_j = adjusted_equivalent_from(sfx, bids, j, actual_rate);
     let front = alpha_hat_pred * w_pred;
     let back = (1.0 - alpha_hat_pred) * (z_j + w_hat_j);
-    front.max(back)
+    w_pred - front.max(back)
 }
 
-/// Payment for processor `j` given a precomputed suffix sweep of the bid
-/// chain. O(1) per call; bit-identical to [`settle`] (pinned by the
-/// payment-parity suite in `mechanism/tests/payment_parity.rs`). Callers
-/// settling several agents of one bid profile should compute
-/// [`dlt::batch::solve_all_suffixes`] once and use this.
-pub fn settle_with(
-    sfx: &SuffixSolutions,
-    bids: &LinearNetwork,
-    j: usize,
+/// Assemble one processor's breakdown around its bonus `B_j`: valuation
+/// (eq. 4.5), the eq. 4.6 zero case, compensation and recompense
+/// (eqs. 4.7–4.8), payment `Q_j = C_j + B_j + S` and utility
+/// `U_j = V_j + Q_j` (eq. 4.4).
+pub(crate) fn breakdown(
     inputs: PaymentInputs,
+    bonus: f64,
     solution_bonus: f64,
 ) -> PaymentBreakdown {
     let v = valuation(inputs.actual_load, inputs.actual_rate);
@@ -202,17 +181,35 @@ pub fn settle_with(
     }
     let e = recompense(inputs.assigned_load, inputs.actual_load, inputs.actual_rate);
     let c = compensation(inputs.assigned_load, inputs.actual_load, inputs.actual_rate);
-    let b = bids.w(j - 1) - realized_predecessor_equivalent_from(sfx, bids, j, inputs.actual_rate);
-    let q = c + b + solution_bonus;
+    let q = c + bonus + solution_bonus;
     PaymentBreakdown {
         valuation: v,
         compensation: c,
         recompense: e,
-        bonus: b,
+        bonus,
         solution_bonus,
         payment: q,
         utility: v + q,
     }
+}
+
+/// Payment for processor `j` given a precomputed suffix sweep of the bid
+/// chain. O(1) per call; bit-identical to [`settle`] (pinned by the
+/// payment-parity suite in `mechanism/tests/payment_parity.rs`). Callers
+/// settling several agents of one bid profile should compute
+/// [`dlt::batch::solve_all_suffixes`] once and use this.
+pub fn settle_with(
+    sfx: &SuffixSolutions,
+    bids: &LinearNetwork,
+    j: usize,
+    inputs: PaymentInputs,
+    solution_bonus: f64,
+) -> PaymentBreakdown {
+    breakdown(
+        inputs,
+        bonus_from(sfx, bids, j, inputs.actual_rate),
+        solution_bonus,
+    )
 }
 
 /// Settle every strategic processor of one bid profile in O(m) total: one
@@ -243,64 +240,34 @@ pub fn settle_all(
 /// optional eq. 4.13 solution bonus).
 ///
 /// This is the scalar per-suffix path (each call re-solves the suffix
-/// chains); it doubles as the frozen reference that the O(m) batch path
-/// ([`settle_all`] / [`settle_with`]) is differentially pinned against.
+/// chains): the reference that the O(m) sweep path ([`settle_all`] /
+/// [`settle_with`]) is differentially pinned against. Library code settles
+/// through the sweep.
 pub fn settle(
     bids: &LinearNetwork,
     j: usize,
     inputs: PaymentInputs,
     solution_bonus: f64,
 ) -> PaymentBreakdown {
-    obs::count!("mechanism.payment.settle", "j" => j);
-    let v = valuation(inputs.actual_load, inputs.actual_rate);
-    if inputs.actual_load <= 0.0 {
-        // eq. 4.6: a processor that computed nothing is paid nothing.
-        return PaymentBreakdown {
-            valuation: v,
-            compensation: 0.0,
-            recompense: 0.0,
-            bonus: 0.0,
-            solution_bonus: 0.0,
-            payment: 0.0,
-            utility: v,
-        };
-    }
-    let e = recompense(inputs.assigned_load, inputs.actual_load, inputs.actual_rate);
-    let c = compensation(inputs.assigned_load, inputs.actual_load, inputs.actual_rate);
-    let b = bonus(bids, j, inputs.actual_rate);
-    let q = c + b + solution_bonus;
-    PaymentBreakdown {
-        valuation: v,
-        compensation: c,
-        recompense: e,
-        bonus: b,
-        solution_bonus,
-        payment: q,
-        utility: v + q,
-    }
+    breakdown(inputs, bonus(bids, j, inputs.actual_rate), solution_bonus)
 }
 
 /// Pro-rata settlement for a processor that crash-stopped or stalled after
-/// finishing only `completed_load` of its assignment: it is compensated for
-/// exactly the work it metered (`completed · w̃`), with no recompense and no
-/// bonus — failure is no-fault (no fine), but the bonus rewards *finishing*
-/// the prescribed share, which a failed node did not do. Utility is
-/// therefore exactly zero: the node is made whole for its cost, nothing
-/// more.
+/// finishing only `completed_load` of its assignment: it is settled as if
+/// it had been assigned exactly the work it metered, with no bonus — so it
+/// is compensated `completed · w̃` with no recompense. Failure is no-fault
+/// (no fine), but the bonus rewards *finishing* the prescribed share, which
+/// a failed node did not do. Utility is therefore exactly zero: the node is
+/// made whole for its cost, nothing more.
 pub fn pro_rata(completed_load: f64, actual_rate: f64) -> PaymentBreakdown {
     obs::count!("mechanism.payment.pro_rata");
     obs::hist!("mechanism.payment.pro_rata_load", completed_load);
-    let v = valuation(completed_load, actual_rate);
-    let c = completed_load * actual_rate;
-    PaymentBreakdown {
-        valuation: v,
-        compensation: c,
-        recompense: 0.0,
-        bonus: 0.0,
-        solution_bonus: 0.0,
-        payment: c,
-        utility: v + c,
-    }
+    let inputs = PaymentInputs {
+        assigned_load: completed_load,
+        actual_load: completed_load,
+        actual_rate,
+    };
+    breakdown(inputs, 0.0, 0.0)
 }
 
 /// Wage for recovery work re-assigned after a chain splice: exactly the
@@ -322,55 +289,9 @@ pub fn root_utility(assigned_load: f64, actual_rate: f64) -> f64 {
     v + c
 }
 
-/// Settlement of one *job* of size `load` for processor `j`
-/// (the multi-job serving path, PR 9).
-///
-/// `inputs` are in **absolute job units** (`α_j · load`, not fractions):
-/// valuation, compensation and recompense are linear in load, so they are
-/// computed directly from the absolute quantities. The bonus (eq. 4.9) is
-/// a *rate* improvement — it prices the predecessor's equivalent
-/// processing time per unit load — so a job of size `load` pays
-/// `bonus(bids, j, w̃_j) · load`. With `load = 1` and fractional inputs
-/// this is exactly [`settle`] (multiplying the bonus by 1.0 is exact).
-pub fn settle_job(
-    bids: &LinearNetwork,
-    j: usize,
-    inputs: PaymentInputs,
-    load: f64,
-    solution_bonus: f64,
-) -> PaymentBreakdown {
-    obs::count!("mechanism.payment.settle_job", "j" => j);
-    let v = valuation(inputs.actual_load, inputs.actual_rate);
-    if inputs.actual_load <= 0.0 {
-        // eq. 4.6: a processor that computed nothing is paid nothing.
-        return PaymentBreakdown {
-            valuation: v,
-            compensation: 0.0,
-            recompense: 0.0,
-            bonus: 0.0,
-            solution_bonus: 0.0,
-            payment: 0.0,
-            utility: v,
-        };
-    }
-    let e = recompense(inputs.assigned_load, inputs.actual_load, inputs.actual_rate);
-    let c = compensation(inputs.assigned_load, inputs.actual_load, inputs.actual_rate);
-    let b = bonus(bids, j, inputs.actual_rate) * load;
-    let q = c + b + solution_bonus;
-    PaymentBreakdown {
-        valuation: v,
-        compensation: c,
-        recompense: e,
-        bonus: b,
-        solution_bonus,
-        payment: q,
-        utility: v + q,
-    }
-}
-
 /// Cross-round payment carry-over: per-installment postings accumulate
 /// into one per-job ledger entry per strategic processor, settled once at
-/// job completion via [`settle_job`].
+/// job completion by [`JobLedger::finalize`].
 ///
 /// Valuation, compensation and recompense are linear in load, so summing
 /// the per-installment assigned/actual loads (and load-averaging the
@@ -440,7 +361,16 @@ impl JobLedger {
         }
     }
 
-    /// Settle the whole job in one entry per strategic processor.
+    /// Settle the whole job of size `load` in one entry per strategic
+    /// processor, from one suffix sweep of the bid chain.
+    ///
+    /// The aggregated inputs are in **absolute job units**: valuation,
+    /// compensation and recompense are linear in load, so they come
+    /// straight from the absolute quantities. The bonus (eq. 4.9) is a
+    /// *rate* improvement — it prices the predecessor's equivalent
+    /// processing time per unit load — so a job of size `load` pays
+    /// `B_j · load`. With `load = 1` and fractional inputs this is exactly
+    /// [`settle`] (multiplying the bonus by 1.0 is exact).
     pub fn finalize(
         &self,
         bids: &LinearNetwork,
@@ -448,8 +378,13 @@ impl JobLedger {
         solution_bonus: f64,
     ) -> Vec<PaymentBreakdown> {
         obs::count!("mechanism.payment.job_finalize", "rounds" => self.postings);
+        let sfx = batch::solve_all_suffixes(bids);
         (1..=self.assigned.len())
-            .map(|j| settle_job(bids, j, self.aggregate(bids, j), load, solution_bonus))
+            .map(|j| {
+                let inputs = self.aggregate(bids, j);
+                let b = bonus_from(&sfx, bids, j, inputs.actual_rate) * load;
+                breakdown(inputs, b, solution_bonus)
+            })
             .collect()
     }
 }
@@ -718,40 +653,43 @@ mod tests {
         adjusted_equivalent(&bids(), 0, 1.0);
     }
 
-    #[test]
-    fn settle_job_unit_load_equals_settle() {
-        let net = bids();
-        let sol = dlt::linear::solve(&net);
-        for j in 1..net.len() {
-            let inputs = PaymentInputs {
-                assigned_load: sol.alloc.alpha(j),
-                actual_load: sol.alloc.alpha(j),
+    /// Truthful inputs for every strategic processor, scaled to a job of
+    /// size `load`.
+    fn job_inputs(net: &LinearNetwork, load: f64) -> Vec<PaymentInputs> {
+        let sol = dlt::linear::solve(net);
+        (1..net.len())
+            .map(|j| PaymentInputs {
+                assigned_load: sol.alloc.alpha(j) * load,
+                actual_load: sol.alloc.alpha(j) * load,
                 actual_rate: net.w(j),
-            };
-            let a = settle(&net, j, inputs, 0.0);
-            let b = settle_job(&net, j, inputs, 1.0, 0.0);
-            assert_eq!(a, b, "P{j}: unit-load job settlement must be settle");
+            })
+            .collect()
+    }
+
+    fn finalize_one_shot(net: &LinearNetwork, load: f64) -> Vec<PaymentBreakdown> {
+        let mut ledger = JobLedger::new(net.last_index());
+        ledger.post(&job_inputs(net, load));
+        ledger.finalize(net, load, 0.0)
+    }
+
+    #[test]
+    fn finalize_unit_load_equals_settle() {
+        let net = bids();
+        let inputs = job_inputs(&net, 1.0);
+        for (j, got) in (1..).zip(finalize_one_shot(&net, 1.0)) {
+            let want = settle(&net, j, inputs[j - 1], 0.0);
+            assert_eq!(got, want, "P{j}: unit-load job settlement must be settle");
         }
     }
 
     #[test]
-    fn settle_job_scales_linearly_in_load() {
+    fn finalize_scales_linearly_in_load() {
         let net = bids();
-        let sol = dlt::linear::solve(&net);
         let load = 2.5;
-        for j in 1..net.len() {
-            let unit = PaymentInputs {
-                assigned_load: sol.alloc.alpha(j),
-                actual_load: sol.alloc.alpha(j),
-                actual_rate: net.w(j),
-            };
-            let scaled = PaymentInputs {
-                assigned_load: unit.assigned_load * load,
-                actual_load: unit.actual_load * load,
-                actual_rate: unit.actual_rate,
-            };
-            let u1 = settle(&net, j, unit, 0.0).utility;
-            let ul = settle_job(&net, j, scaled, load, 0.0).utility;
+        let unit = job_inputs(&net, 1.0);
+        for (j, scaled) in (1..).zip(finalize_one_shot(&net, load)) {
+            let u1 = settle(&net, j, unit[j - 1], 0.0).utility;
+            let ul = scaled.utility;
             assert!((ul - u1 * load).abs() < 1e-9, "P{j}: {ul} vs {}", u1 * load);
         }
     }
@@ -761,42 +699,24 @@ mod tests {
         // Posting k uniform installments and settling the aggregate must
         // reproduce settling the whole job in one entry.
         let net = bids();
-        let sol = dlt::linear::solve(&net);
         let m = net.last_index();
         let load = 1.75;
+        let one_shot = finalize_one_shot(&net, load);
         for k in [1usize, 3, 8] {
             let mut ledger = JobLedger::new(m);
             let share = 1.0 / k as f64;
+            let unit = job_inputs(&net, share * load);
             for _ in 0..k {
-                let postings: Vec<PaymentInputs> = (1..=m)
-                    .map(|i| PaymentInputs {
-                        assigned_load: sol.alloc.alpha(i) * share * load,
-                        actual_load: sol.alloc.alpha(i) * share * load,
-                        actual_rate: net.w(i),
-                    })
-                    .collect();
-                ledger.post(&postings);
+                ledger.post(&unit);
             }
             assert_eq!(ledger.postings(), k);
             let settled = ledger.finalize(&net, load, 0.0);
-            for j in 1..=m {
-                let one_shot = settle_job(
-                    &net,
-                    j,
-                    PaymentInputs {
-                        assigned_load: sol.alloc.alpha(j) * load,
-                        actual_load: sol.alloc.alpha(j) * load,
-                        actual_rate: net.w(j),
-                    },
-                    load,
-                    0.0,
-                );
-                let s = settled[j - 1];
+            for (j, (s, o)) in (1..).zip(settled.iter().zip(&one_shot)) {
                 assert!(
-                    (s.utility - one_shot.utility).abs() < 1e-9
-                        && (s.payment - one_shot.payment).abs() < 1e-9
-                        && (s.bonus - one_shot.bonus).abs() < 1e-9,
-                    "P{j} k={k}: {s:?} vs {one_shot:?}"
+                    (s.utility - o.utility).abs() < 1e-9
+                        && (s.payment - o.payment).abs() < 1e-9
+                        && (s.bonus - o.bonus).abs() < 1e-9,
+                    "P{j} k={k}: {s:?} vs {o:?}"
                 );
             }
         }

@@ -17,11 +17,13 @@
 //! (over/under-execution, slack rates, zero actual load) beyond what the
 //! sweep exercises.
 
-use dlt::batch;
+use dlt::linear;
 use dlt::model::LinearNetwork;
-use mechanism::payment::{self, PaymentInputs};
+use mechanism::payment::{self, JobLedger, PaymentBreakdown, PaymentInputs};
 use mechanism::verify::default_factor_grid;
+use minijson::Value;
 use proptest::prelude::*;
+use workloads::requests::{self, JobMixConfig};
 use workloads::ChainConfig;
 
 /// Settle every agent the slow way: one scalar `settle` per agent.
@@ -40,7 +42,7 @@ fn settle_scalar(
 /// Truthful-execution inputs for a bid chain: each agent is assigned its
 /// bid-optimal share and computes exactly that at its true rate.
 fn truthful_inputs(bid_net: &LinearNetwork, true_rates: &[f64]) -> Vec<PaymentInputs> {
-    let sol = batch::solve_one(bid_net);
+    let sol = linear::solve(bid_net);
     (1..bid_net.len())
         .map(|j| PaymentInputs {
             assigned_load: sol.alloc.alpha(j),
@@ -89,6 +91,106 @@ fn settle_all_matches_scalar_settle_on_the_e4_population() {
     assert_eq!(profiles, 112_230, "population drifted");
 }
 
+/// Scalar reference for `JobLedger::finalize`: every agent settled from
+/// its aggregated inputs, the bonus re-solved per agent and scaled by the
+/// job size (eqs. 4.4–4.9 in absolute job units).
+fn finalize_scalar(
+    ledger: &JobLedger,
+    bids: &LinearNetwork,
+    load: f64,
+    solution_bonus: f64,
+) -> Vec<PaymentBreakdown> {
+    (1..bids.len())
+        .map(|j| {
+            let inp = ledger.aggregate(bids, j);
+            let v = payment::valuation(inp.actual_load, inp.actual_rate);
+            if inp.actual_load <= 0.0 {
+                return PaymentBreakdown {
+                    valuation: v,
+                    compensation: 0.0,
+                    recompense: 0.0,
+                    bonus: 0.0,
+                    solution_bonus: 0.0,
+                    payment: 0.0,
+                    utility: v,
+                };
+            }
+            let e = payment::recompense(inp.assigned_load, inp.actual_load, inp.actual_rate);
+            let c = payment::compensation(inp.assigned_load, inp.actual_load, inp.actual_rate);
+            let b = payment::bonus(bids, j, inp.actual_rate) * load;
+            let q = c + b + solution_bonus;
+            PaymentBreakdown {
+                valuation: v,
+                compensation: c,
+                recompense: e,
+                bonus: b,
+                solution_bonus,
+                payment: q,
+                utility: v + q,
+            }
+        })
+        .collect()
+}
+
+/// E28 served-mix parity: every job of the 128-line mix, posted in its
+/// installments under truthful and adversarial conduct, finalized
+/// byte-equal to the scalar reference.
+#[test]
+fn finalize_matches_scalar_reference_on_the_e28_job_mix() {
+    let mix = JobMixConfig {
+        total: 128,
+        distinct_chains: 6,
+        processors: 5,
+        comm_startup: 0.02,
+        ..JobMixConfig::default()
+    };
+    let pool = requests::job_chain_pool(&mix);
+    let mut settled = 0usize;
+    for (job, (line, idx)) in requests::job_lines_indexed(&mix).into_iter().enumerate() {
+        let req = Value::parse(&line).expect("mix line is JSON");
+        let load = req.get("load").and_then(Value::as_f64).expect("load");
+        let rounds = req.get("rounds").and_then(Value::as_u64).unwrap_or(1) as usize;
+        let net = &pool[idx];
+        let m = net.last_index();
+        let sol = linear::solve(net);
+        let share = 1.0 / rounds as f64;
+        // Conduct 0 is truthful; conduct 1 has one agent run slow and
+        // over-compute, and another compute nothing (eq. 4.6).
+        for conduct in 0..2 {
+            let mut ledger = JobLedger::new(m);
+            for _ in 0..rounds {
+                let postings: Vec<PaymentInputs> = (1..=m)
+                    .map(|i| {
+                        let amount = sol.alloc.alpha(i) * share * load;
+                        let (actual_load, actual_rate) = match (conduct, i) {
+                            (1, 1) => (amount * 1.25, net.w(i) * 1.5),
+                            (1, i) if i == m => (0.0, net.w(i)),
+                            _ => (amount, net.w(i)),
+                        };
+                        PaymentInputs {
+                            assigned_load: amount,
+                            actual_load,
+                            actual_rate,
+                        }
+                    })
+                    .collect();
+                ledger.post(&postings);
+            }
+            for s in [0.0, 0.25] {
+                let fast = ledger.finalize(net, load, s);
+                let slow = finalize_scalar(&ledger, net, load, s);
+                assert_eq!(
+                    format!("{fast:?}"),
+                    format!("{slow:?}"),
+                    "job {job}, conduct {conduct}, S = {s}"
+                );
+                settled += 1;
+            }
+        }
+    }
+    assert_eq!(settled, 128 * 2 * 2, "job mix drifted");
+}
+
 fn chain_strategy() -> impl Strategy<Value = LinearNetwork> {
     (2usize..=10).prop_flat_map(|n| {
         (
@@ -127,7 +229,7 @@ proptest! {
         rate_slack in proptest::collection::vec(1.0f64..4.0, 10),
         load_skew in proptest::collection::vec(0.0f64..2.0, 10),
     ) {
-        let sol = batch::solve_one(&bid_net);
+        let sol = linear::solve(&bid_net);
         let inputs: Vec<PaymentInputs> = (1..bid_net.len())
             .map(|j| {
                 let assigned = sol.alloc.alpha(j);

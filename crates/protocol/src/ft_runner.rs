@@ -8,8 +8,9 @@
 //! fusing the links `z_k` and `z_{k+1}` into one store-and-forward hop
 //! ([`dlt::linear::splice`]), a node's parent and first child are its
 //! predecessor and successor, residuals are re-solved on the spliced bid
-//! chain by the batch solver core, and a silent Phase IV node is
-//! re-settled by [`mechanism::payment::settle`].
+//! chain by [`dlt::linear::solve`], and silent Phase IV nodes are
+//! re-settled by [`mechanism::payment::settle_with`] from one suffix sweep
+//! of the bid chain.
 //!
 //! ### Determinism
 //! Given the same `(Scenario, FaultPlan)` pair the report is bit-identical
@@ -27,8 +28,8 @@ use crate::ledger::Ledger;
 use crate::root::ArbitrationRecord;
 use crate::runner::{try_run, RunReport, Scenario, ScenarioError};
 use crate::transcript::Transcript;
-use dlt::linear;
 use dlt::model::LinearNetwork;
+use dlt::{batch, linear};
 use mechanism::payment::{self, PaymentInputs};
 
 /// Everything a fault-tolerant run produced. All per-node vectors use the
@@ -159,28 +160,26 @@ impl Topology for Scenario {
         orig_of.remove(at);
     }
 
-    /// Residual re-solves route through the batch solver core
-    /// (`dlt::batch::solve_one`), which is bit-identical to the scalar
-    /// `linear::solve` by construction — E20/E22 report bytes are
-    /// unchanged.
     fn allocation(net: &LinearNetwork) -> (f64, Vec<f64>) {
         if net.len() == 1 {
             (net.w(0), vec![1.0])
         } else {
-            let sol = dlt::batch::solve_one(net);
+            let sol = linear::solve(net);
             (sol.makespan(), sol.alloc.fractions().to_vec())
         }
     }
 
     fn billing<'a>(&'a self, base: &'a BaseRun) -> impl Fn(NodeId) -> (f64, f64) + 'a {
         let bid_net = self.bid_net(base);
+        let sfx = batch::solve_all_suffixes(&bid_net);
         let s = if self.solution_found {
             self.solution_bonus
         } else {
             0.0
         };
         move |k| {
-            let honest = payment::settle(
+            let honest = payment::settle_with(
+                &sfx,
                 &bid_net,
                 k,
                 PaymentInputs {

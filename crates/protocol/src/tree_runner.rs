@@ -7,7 +7,7 @@
 //! carries the parent's **entire local decision** — its rate claim plus
 //! every child's own-signed Phase I equivalent — and the recipient replays
 //! the local star solution (canonical ascending-link order, see
-//! `dlt::sequencing`) to verify both the parent's equivalent claim and its
+//! `dlt::seqsearch`) to verify both the parent's equivalent claim and its
 //! own load announcement. Children's equivalents are signed by the
 //! children themselves, so the parent cannot tell different stories to
 //! different children without producing attributable evidence.
@@ -17,7 +17,7 @@ use crate::deviation::Deviation;
 use crate::lambda::BlockMint;
 use crate::ledger::{EntryKind, Ledger};
 use crate::root::ARBITRATION_TOL;
-use dlt::model::TreeNode;
+use dlt::model::{Link, Processor, StarNetwork, TreeNode};
 use dlt::star;
 use mechanism::dls_tree::TreeMechanism;
 use mechanism::{Conduct, FineSchedule};
@@ -173,6 +173,18 @@ pub(crate) fn flatten(node: &TreeNode) -> Flat {
     flat
 }
 
+/// A node's local star: its rate `w`, then one `(link z, child
+/// equivalent)` pair per child in service order.
+fn local_star(w: f64, children: impl IntoIterator<Item = (f64, f64)>) -> StarNetwork {
+    StarNetwork::new(
+        Processor::new(w),
+        children
+            .into_iter()
+            .map(|(z, w)| (Link::new(z), Processor::new(w)))
+            .collect(),
+    )
+}
+
 /// Execute the tree scenario.
 pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
     let flat = flatten(&scenario.shape);
@@ -208,19 +220,12 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
         let honest = if flat.children[i].is_empty() {
             bids[i]
         } else {
-            let star_net = dlt::model::StarNetwork::new(
-                dlt::model::Processor::new(bids[i]),
+            star::equivalent_time(&local_star(
+                bids[i],
                 flat.children[i]
                     .iter()
-                    .map(|&c| {
-                        (
-                            dlt::model::Link::new(flat.z_in[c]),
-                            dlt::model::Processor::new(reported_wbar[c]),
-                        )
-                    })
-                    .collect(),
-            );
-            star::equivalent_time(&star_net)
+                    .map(|&c| (flat.z_in[c], reported_wbar[c])),
+            ))
         };
         reported_wbar[i] = if i >= 1 {
             match scenario.deviations[i - 1] {
@@ -270,19 +275,12 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
         if flat.children[p].is_empty() {
             continue;
         }
-        let star_net = dlt::model::StarNetwork::new(
-            dlt::model::Processor::new(bids[p]),
+        let sol = star::solve(&local_star(
+            bids[p],
             flat.children[p]
                 .iter()
-                .map(|&c| {
-                    (
-                        dlt::model::Link::new(flat.z_in[c]),
-                        dlt::model::Processor::new(reported_wbar[c]),
-                    )
-                })
-                .collect(),
-        );
-        let sol = star::solve(&star_net);
+                .map(|&c| (flat.z_in[c], reported_wbar[c])),
+        ));
         local_fraction[p] = sol.alloc.alpha(0);
         for (k, &c) in flat.children[p].iter().enumerate() {
             let mut d_c = d[p] * sol.alloc.alpha(k + 1);
@@ -317,14 +315,7 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
             })
             .collect();
         // Replay the local star.
-        let star_net = dlt::model::StarNetwork::new(
-            dlt::model::Processor::new(w_p_claim.payload),
-            siblings
-                .iter()
-                .map(|&(z, w)| (dlt::model::Link::new(z), dlt::model::Processor::new(w)))
-                .collect(),
-        );
-        let sol = star::solve(&star_net);
+        let sol = star::solve(&local_star(w_p_claim.payload, siblings));
         // Check the parent's own equivalent claim (skip if p is the root,
         // whose equivalent nobody pays for).
         if p >= 1 {

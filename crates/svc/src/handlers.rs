@@ -303,8 +303,12 @@ fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, S
                     let phase = c
                         .get("phase")
                         .and_then(Value::as_u64)
+                        .filter(|p| (1..=4).contains(p))
                         .ok_or("crash.phase must be 1..=4")? as u8;
-                    let progress = c.get("progress").and_then(Value::as_f64).unwrap_or(0.5);
+                    let progress = match c.get("progress") {
+                        None | Some(Value::Null) => 0.5,
+                        Some(p) => p.as_f64().ok_or("crash.progress must be a number")?,
+                    };
                     Some((node, phase, progress))
                 }
             };
@@ -732,6 +736,49 @@ mod tests {
         let crashed = v.get("crashed").unwrap().as_array().unwrap();
         assert_eq!(crashed[0].as_u64(), Some(2));
         assert!(v.get("overhead").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    fn ft_run_line(crash: &str) -> String {
+        format!(
+            r#"{{"op":"ft_run","root_rate":1.0,"rates":[2.0,0.5],"links":[0.2,0.1],"crash":{crash}}}"#
+        )
+    }
+
+    #[test]
+    fn ft_run_rejects_crash_phases_outside_1_to_4() {
+        // 260 would wrap to 4 in a u8 and silently run a Phase IV crash.
+        for phase in [0, 5, 260] {
+            let line = ft_run_line(&format!(r#"{{"node":1,"phase":{phase}}}"#));
+            assert!(
+                parse_request(&line, 1e-9).is_err(),
+                "accepted phase {phase}"
+            );
+        }
+        let line = ft_run_line(r#"{"node":1,"phase":4}"#);
+        match parse_request(&line, 1e-9).unwrap().kind {
+            RequestKind::Work(WorkRequest::FtRun { crash, .. }) => {
+                assert_eq!(crash, Some((1, 4, 0.5)));
+            }
+            other => panic!("parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ft_run_rejects_a_non_numeric_crash_progress() {
+        for bad in [r#""half""#, "true", "[0.5]"] {
+            let line = ft_run_line(&format!(r#"{{"node":1,"phase":2,"progress":{bad}}}"#));
+            assert!(
+                parse_request(&line, 1e-9).is_err(),
+                "accepted progress {bad}"
+            );
+        }
+        let line = ft_run_line(r#"{"node":1,"phase":2,"progress":0.25}"#);
+        match parse_request(&line, 1e-9).unwrap().kind {
+            RequestKind::Work(WorkRequest::FtRun { crash, .. }) => {
+                assert_eq!(crash, Some((1, 2, 0.25)));
+            }
+            other => panic!("parsed as {other:?}"),
+        }
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! 5. A quantum change drops every resident entry: no request after a
 //!    `reconfigure` can ever be answered by an old-epoch body.
 //!
-//! ISSUE 8 routes the cold solve through the batch solver core
-//! (`dlt::batch::solve_one` inside `DlsLbl::allocate`) and adds:
+//! The cold solve runs `dlt::linear::solve` inside `DlsLbl::allocate`;
+//! the suite also checks:
 //!
 //! 6. The numbers in a cold-solved body are **bit-identical** to the
 //!    frozen scalar solver `dlt::linear::reference` applied to the same
-//!    quantized canonical chain — the batch rewiring is invisible at the
-//!    wire, down to the last bit of every serialized float.
+//!    quantized canonical chain, down to the last bit of every serialized
+//!    float.
 
 use dlt::linear;
 use dlt::model::LinearNetwork;
@@ -74,8 +74,8 @@ proptest! {
         (root, links, bids) in chain_inputs(),
     ) {
         // The body a cold solve produces (and the cache then retains) is
-        // computed through the batch core; the reference path below never
-        // touches `dlt::batch`. minijson writes floats with Rust's
+        // computed by the live solver; the reference path below is the
+        // frozen snapshot. minijson writes floats with Rust's
         // shortest-roundtrip formatting and parses them back correctly
         // rounded, so `to_bits` equality through the serialized body is a
         // faithful bit-identity check.

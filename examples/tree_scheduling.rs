@@ -7,7 +7,7 @@
 //! ```
 
 use dls::dlt::model::TreeNode;
-use dls::dlt::{sequencing, tree};
+use dls::dlt::{seqsearch, tree};
 use dls::mechanism::dls_tree::TreeMechanism;
 use dls::prelude::*;
 
@@ -92,10 +92,11 @@ fn main() {
 
     // --- Why the order matters ---------------------------------------------
     let star_view = dls::dlt::model::StarNetwork::from_rates(&[1.0, 0.9, 1.4], &[0.30, 0.12]);
-    let search = sequencing::exhaustive_best_order(&star_view);
+    let search = seqsearch::exhaustive_search(&TreeNode::from_star(&star_view), 2)
+        .expect("two subtrees have 2! orders");
     println!(
         "service-order check at the root (2 subtrees): best order {:?}, makespan {:.5} vs worst {:.5}",
-        search.best_order, search.best_makespan, search.worst_makespan
+        search.best_order.perms[0], search.best_makespan, search.worst_makespan
     );
     println!("the mechanism always serves the faster uplink first (canonical order).");
 }
