@@ -1,6 +1,6 @@
-//! Golden report bytes for the fault-tolerant engines.
+//! Golden report bytes for the protocol engines.
 //!
-//! Every run of two fixed populations is rendered with `{:?}` and folded
+//! Every run of four fixed populations is rendered with `{:?}` and folded
 //! into one FNV-1a-64 digest per population:
 //!
 //! * **E22 chains** — `crash_pair_grid`, `cascade_grid` and
@@ -11,14 +11,26 @@
 //!   internal-node pre-distribution crash and seeded mixed multi-failure
 //!   plans, through `run_tree_with_faults`. This pins branching trees,
 //!   which `tree_fault` only compares byte for byte on paths.
+//! * **Fault-free chains** — the E20/E22 chain for m = 2..=6, honest and
+//!   with every `Deviation::catalog()` entry at every agent, under a
+//!   certain audit and under the default fine, through `run`.
+//! * **Fault-free trees** — `tree_shape_grid`, honest and with every
+//!   catalog deviation at every agent, through `run_tree`.
+//!
+//! The fault-free reports render their ledger as its entries stable-sorted
+//! by node: the order in which one grievance posts to *different*
+//! accounts carries no meaning, while each account's own sequence (and so
+//! every `net(j)` sum) stays pinned.
 //!
 //! The committed E22/E24 JSON hold rounded summaries; these digests hold
 //! every field of every report (ledger entries, arbitrations, timelines,
 //! transcripts) at full `f64` precision. A behaviour-preserving refactor
 //! of either engine must leave both digests unchanged.
 
+use mechanism::FineSchedule;
 use protocol::{
-    run_tree_with_faults, run_with_faults, FaultKind, FaultPlan, Scenario, TreeScenario,
+    run, run_tree, run_tree_with_faults, run_with_faults, Deviation, FaultKind, FaultPlan, Ledger,
+    Scenario, TreeScenario,
 };
 use workloads::{
     cascade_grid, crash_pair_grid, crash_position_grid, seeded_multi_cases, tree_shape_grid,
@@ -29,6 +41,10 @@ use workloads::{
 const E22_DIGEST: u64 = 0x8095_2b87_2039_bef9;
 /// Digest of the E24 tree population.
 const E24_DIGEST: u64 = 0x07f5_db15_9d47_4c5c;
+/// Digest of the fault-free deviant chain population.
+const CHAIN_DIGEST: u64 = 0x7df8_a194_0435_abc0;
+/// Digest of the fault-free deviant tree population.
+const TREE_DIGEST: u64 = 0xc3b0_27ae_a523_ffa3;
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -49,6 +65,26 @@ impl Fnv {
     fn report(&mut self, report: &impl std::fmt::Debug) {
         self.write(format!("{report:?}\n").as_bytes());
     }
+}
+
+/// `ledger` with its entries stable-sorted by node.
+fn by_node(ledger: &Ledger) -> Ledger {
+    let mut entries = ledger.entries().to_vec();
+    entries.sort_by_key(|e| e.node);
+    let mut sorted = Ledger::new();
+    for e in entries {
+        sorted.post(e.node, e.kind, e.amount, e.phase);
+    }
+    sorted
+}
+
+/// Honest, then every catalog deviation at each of `m` agents in turn.
+fn deviant_population(m: usize) -> Vec<Option<(usize, Deviation)>> {
+    let mut out = vec![None];
+    for j in 1..=m {
+        out.extend(Deviation::catalog().into_iter().map(|d| Some((j, d))));
+    }
+    out
 }
 
 fn to_plan(cases: &[FaultCase]) -> FaultPlan {
@@ -150,6 +186,59 @@ fn e24_tree_population_report_bytes_are_pinned() {
     assert_eq!(
         digest.0, E24_DIGEST,
         "E24 report bytes changed: digest {:#018x}",
+        digest.0
+    );
+}
+
+#[test]
+fn fault_free_chain_population_report_bytes_are_pinned() {
+    let mut runs = 0usize;
+    let mut digest = Fnv::new();
+    for m in 2..=6usize {
+        for fine in [Some(FineSchedule::new(15.0, 1.0)), None] {
+            for dev in deviant_population(m) {
+                let mut s = chain(m);
+                if let Some(fine) = fine {
+                    s = s.with_fine(fine);
+                }
+                if let Some((j, d)) = dev {
+                    s = s.with_deviation(j, d);
+                }
+                let mut report = run(&s);
+                report.ledger = by_node(&report.ledger);
+                digest.report(&report);
+                runs += 1;
+            }
+        }
+    }
+    assert_eq!(runs, 370, "the fault-free chain population changed size");
+    assert_eq!(
+        digest.0, CHAIN_DIGEST,
+        "fault-free chain report bytes changed: digest {:#018x}",
+        digest.0
+    );
+}
+
+#[test]
+fn fault_free_tree_population_report_bytes_are_pinned() {
+    let mut runs = 0usize;
+    let mut digest = Fnv::new();
+    for case in tree_shape_grid(0xE24) {
+        for dev in deviant_population(case.num_agents()) {
+            let mut s = TreeScenario::honest(case.shape.clone(), case.true_rates.clone());
+            if let Some((j, d)) = dev {
+                s = s.with_deviation(j, d);
+            }
+            let mut report = run_tree(&s);
+            report.ledger = by_node(&report.ledger);
+            digest.report(&report);
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 351, "the fault-free tree population changed size");
+    assert_eq!(
+        digest.0, TREE_DIGEST,
+        "fault-free tree report bytes changed: digest {:#018x}",
         digest.0
     );
 }
