@@ -9,15 +9,24 @@
 //! * [`crypto`] — simulated unforgeable signatures and PKI (`dsm_i(m)`).
 //! * [`lambda`] — the Λ data-tagging device of footnote 1: block
 //!   identifiers that prove how much load a node received.
-//! * [`messages`] — Phase I bids, Phase II `G_i` messages (eqs. 4.1–4.2)
-//!   with the full recipient-side check suite, grievances, and the Phase IV
-//!   payment proof (eq. 4.12).
+//! * [`messages`] — Phase II `G_i` messages (eqs. 4.1–4.2) and their tree
+//!   counterpart, the `LocalDecision`, each with its full recipient-side
+//!   check, grievances, and the Phase IV payment proof (eq. 4.12).
 //! * [`root`] — arbitration: evidence verification, fines and rewards
 //!   (Lemma 5.2: only actual deviants are ever fined).
 //! * [`deviation`] — the Lemma 5.1 misbehavior catalog.
 //! * [`ledger`] — the payment-infrastructure ledger.
-//! * [`runner`] — end-to-end scenario execution across all four phases,
-//!   with deviations injected, caught, and fined.
+//! * `phases` — Phases I–IV written once over a small topology trait:
+//!   bids and equivalents, contradictions and false accusations, Phase III
+//!   overload grievances, the Phase IV bill/audit loop and the ledger.
+//!   Every fault-free grievance is settled by [`root::arbitrate`], and an
+//!   honest node files only what its own evidence proves.
+//! * [`runner`] — the chain impl: end-to-end scenario execution with
+//!   deviations injected, caught, and fined; eq. 2.4 reduction, eq. 2.7
+//!   `G` messages, event-simulated Phase III, replayable transcript.
+//! * [`tree_runner`] — the tree impl, enforcing the DLS-T companion
+//!   mechanism: local-star equivalents, `LocalDecision` replay, one-port
+//!   Phase III.
 //! * [`faults`] — deterministic, seeded fault plans: crash-stop, stalls,
 //!   message drops/delays/corruption.
 //! * [`ft_runner`] — fault-tolerant execution: timeout detection,
@@ -46,6 +55,7 @@ pub mod ft_tree_runner;
 pub mod lambda;
 pub mod ledger;
 pub mod messages;
+mod phases;
 pub mod root;
 pub mod runner;
 pub mod transcript;

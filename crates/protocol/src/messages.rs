@@ -1,17 +1,11 @@
-//! Protocol message types: Phase I bids, Phase II `G_i` messages
-//! (eqs. 4.1–4.2), Phase III grievances, Phase IV payment proofs
-//! (eq. 4.12).
+//! Protocol message types: Phase II `G_i` messages
+//! (eqs. 4.1–4.2) and their tree counterpart, Phase III grievances, Phase
+//! IV payment proofs (eq. 4.12).
 
 use crate::crypto::{Dsm, NodeId, Registry};
 use crate::lambda::LoadTag;
-
-/// Phase I message: `P_i` reports its equivalent processing time
-/// `dsm_i(w̄_i)` to its predecessor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BidMessage {
-    /// `dsm_i(w̄_i)`.
-    pub equivalent: Dsm<f64>,
-}
+use crate::root::ARBITRATION_TOL;
+use dlt::model::{Link, Processor, StarNetwork};
 
 /// Phase II message `G_i` handed from `P_{i-1}` to `P_i` (eq. 4.2; eq. 4.1
 /// is the `i = 1` case where both signer indices collapse to the root).
@@ -105,6 +99,71 @@ impl GMessage {
     }
 }
 
+/// A node's local star: its rate `w`, then one `(link z, child
+/// equivalent)` pair per child in service order.
+pub(crate) fn local_star(w: f64, children: impl IntoIterator<Item = (f64, f64)>) -> StarNetwork {
+    StarNetwork::new(
+        Processor::new(w),
+        children
+            .into_iter()
+            .map(|(z, w)| (Link::new(z), Processor::new(w)))
+            .collect(),
+    )
+}
+
+/// Phase II message from a tree node `P_p` to one of its children.
+///
+/// A parent with several children cannot be checked with the two-term
+/// balance identity (eq. 2.7), so the message carries its **entire local
+/// decision**: its rate claim plus every child's own-signed Phase I
+/// equivalent. The recipient replays the local star solution (canonical
+/// ascending-link order, see `dlt::seqsearch`) to verify both the
+/// parent's equivalent claim and its own load announcement. The children
+/// sign their equivalents themselves, so the parent cannot tell different
+/// stories to different children without producing attributable
+/// evidence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LocalDecision {
+    /// `D_p`, the load reaching the sender, vouched by the sender's parent
+    /// (the root vouches for its own unit load).
+    pub d_prev: Dsm<f64>,
+    /// `D_c`, the load the sender claims to forward to the recipient.
+    pub d_cur: Dsm<f64>,
+    /// The sender's raw processing rate claim `w_p`.
+    pub w: Dsm<f64>,
+    /// The sender's own Phase I equivalent `w̄_p` (unchecked at the root,
+    /// whose equivalent nobody pays for).
+    pub wbar: Dsm<f64>,
+    /// Every child's `(link rate, own-signed equivalent)`, in service order.
+    pub children: Vec<(f64, Dsm<f64>)>,
+    /// The recipient's position in `children`.
+    pub position: usize,
+}
+
+impl LocalDecision {
+    /// Run the recipient-side check for `P_i`, the child of the sender
+    /// `P_p` whose own parent `P_gp` vouches for `D_p`. True if the message
+    /// passes. The recipient's own equivalent is in the list under its own
+    /// signature, so no echo check is needed.
+    pub fn check(&self, registry: &Registry, [gp, p]: [NodeId; 2], i: NodeId) -> bool {
+        let own = |(_, e): &(f64, Dsm<f64>)| e.signer == i;
+        let authentic = self.children.get(self.position).is_some_and(own)
+            && self.d_prev.verify(registry, Some(gp))
+            && [self.d_cur, self.w, self.wbar]
+                .iter()
+                .all(|m| m.verify(registry, Some(p)))
+            && self.children.iter().all(|(_, e)| e.verify(registry, None));
+        if !authentic {
+            return false;
+        }
+        let children = self.children.iter().map(|&(z, e)| (z, e.payload));
+        let sol = dlt::star::solve(&local_star(self.w.payload, children));
+        let share = self.d_prev.payload * sol.alloc.alpha(self.position + 1);
+        let close = |a: f64, b: f64| (a - b).abs() <= ARBITRATION_TOL;
+        (p == 0 || close(self.wbar.payload, sol.makespan)) && close(self.d_cur.payload, share)
+    }
+}
+
 /// A complaint submitted to the root for arbitration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Complaint {
@@ -128,6 +187,16 @@ pub enum Complaint {
         recipient_bid: f64,
         /// The public link rate `z_i`.
         link_rate: f64,
+    },
+    /// A tree node's [`LocalDecision`] failing the recipient's replay
+    /// (Phase II).
+    BadDecision {
+        /// The accused node (the message's sender).
+        accused: NodeId,
+        /// The sender's parent, who vouches for `D_p`.
+        grandparent: NodeId,
+        /// The failing message, as evidence.
+        evidence: LocalDecision,
     },
     /// Receiving more load than Phase II prescribed (Phase III), proven by
     /// the Λ tag.
@@ -164,6 +233,7 @@ impl Complaint {
         match self {
             Complaint::Contradiction { accused, .. }
             | Complaint::BadComputation { accused, .. }
+            | Complaint::BadDecision { accused, .. }
             | Complaint::Overload { accused, .. }
             | Complaint::Unfounded { accused }
             | Complaint::Unresponsive { accused, .. } => *accused,

@@ -7,7 +7,7 @@
 //! verify and arithmetic it can recompute.
 
 use crate::crypto::{NodeId, Registry};
-use crate::lambda::BlockMint;
+use crate::lambda::{BlockMint, LoadTag};
 use crate::ledger::{EntryKind, Ledger};
 use crate::messages::Complaint;
 use mechanism::FineSchedule;
@@ -89,17 +89,18 @@ pub fn arbitrate(
                 .is_err();
             (failed, 0.0, "bad-computation")
         }
+        Complaint::BadDecision {
+            accused,
+            grandparent,
+            evidence,
+        } => (
+            !evidence.check(ctx.registry, [*grandparent, *accused], claimant),
+            0.0,
+            "bad-computation",
+        ),
         Complaint::Overload { expected, tag, .. } => {
-            match ctx.mint.verify(tag) {
-                // The Λ tag proves how much really arrived; the claim holds
-                // if it exceeds the Phase II prescription by at least half
-                // a block (rounding guard).
-                Some(proven) => {
-                    let excess = proven - expected;
-                    let hold = excess > 0.5 * ctx.mint.block_size();
-                    let penalty = if hold { excess * ctx.victim_rate } else { 0.0 };
-                    (hold, penalty, "overload")
-                }
+            match proven_overload(ctx.mint, *expected, tag) {
+                Some(excess) => (true, excess * ctx.victim_rate, "overload"),
                 None => (false, 0.0, "overload"),
             }
         }
@@ -151,6 +152,15 @@ pub fn arbitrate(
         fine: f,
         extra_penalty,
     }
+}
+
+/// The load a Λ `tag` proves beyond the Phase II prescription `expected`,
+/// if that excess tops half a block (the rounding guard). The root
+/// substantiates an overload grievance exactly when this is `Some`, and an
+/// honest victim files one only then.
+pub(crate) fn proven_overload(mint: &BlockMint, expected: f64, tag: &LoadTag) -> Option<f64> {
+    let excess = mint.verify(tag)? - expected;
+    (excess > 0.5 * mint.block_size()).then_some(excess)
 }
 
 /// Resolve an [`Complaint::Unresponsive`] timeout complaint by liveness
@@ -371,5 +381,59 @@ mod tests {
         // Fine↔reward transfer balances; the extra-work penalty (none
         // here) is posted separately.
         assert!(ledger.fines_match_rewards(true, 1e-12));
+    }
+
+    /// The root `P_0` serving `P_1` (link 0.1) and `P_2` (link 0.2): its
+    /// Phase II message to `P_1`, announcing `d_cur` instead of the share
+    /// the local star gives.
+    fn decision_to_p1(reg: &Registry, d_cur: Option<f64>) -> crate::messages::LocalDecision {
+        let (root, w) = (reg.keypair(0), [1.0, 2.0, 1.5]);
+        let children = vec![
+            (0.1, Dsm::new(&reg.keypair(1), w[1])),
+            (0.2, Dsm::new(&reg.keypair(2), w[2])),
+        ];
+        let star = crate::messages::local_star(w[0], [(0.1, w[1]), (0.2, w[2])]);
+        let sol = dlt::star::solve(&star);
+        crate::messages::LocalDecision {
+            d_prev: Dsm::new(&root, 1.0),
+            d_cur: Dsm::new(&root, d_cur.unwrap_or(sol.alloc.alpha(1))),
+            w: Dsm::new(&root, w[0]),
+            wbar: Dsm::new(&root, sol.makespan),
+            children,
+            position: 0,
+        }
+    }
+
+    #[test]
+    fn tree_decision_replay_convicts_only_a_wrong_share() {
+        let reg = Registry::new(4, 1);
+        let mint = BlockMint::new(10, 1);
+        for (d_cur, guilty) in [(None, false), (Some(0.9), true)] {
+            let evidence = decision_to_p1(&reg, d_cur);
+            assert_eq!(evidence.check(&reg, [0, 0], 1), !guilty);
+            let complaint = Complaint::BadDecision {
+                accused: 0,
+                grandparent: 0,
+                evidence,
+            };
+            let mut ledger = Ledger::new();
+            let rec = arbitrate(&complaint, 1, &ctx(&reg, &mint), &mut ledger);
+            assert_eq!(rec.substantiated, guilty);
+            let filer = if guilty { 10.0 } else { -10.0 };
+            assert_eq!(ledger.net(1), filer, "claimant P1, guilty = {guilty}");
+        }
+    }
+
+    #[test]
+    fn tree_decision_with_a_foreign_signature_is_inauthentic() {
+        let reg = Registry::new(4, 1);
+        // The message is not the recipient's parent's, or names another
+        // node in the recipient's slot.
+        let evidence = decision_to_p1(&reg, None);
+        assert!(!evidence.check(&reg, [0, 3], 1));
+        assert!(!evidence.check(&reg, [0, 0], 2));
+        let mut forged = evidence;
+        forged.d_cur.payload = 0.5;
+        assert!(!forged.check(&reg, [0, 0], 1));
     }
 }

@@ -267,16 +267,24 @@ mod tests {
         let queue = Arc::new(BoundedQueue::new(32));
         let pool = WorkerPool::spawn(3, Arc::clone(&queue), Arc::clone(&ctx));
         let (tx, rx) = mpsc::channel();
-        for _ in 0..10 {
+        let push = || {
             queue
                 .try_push(solve_job(tx.clone(), Duration::from_secs(5)))
                 .map_err(|_| ())
-                .unwrap();
+                .unwrap()
+        };
+        // The cache has no single-flight: concurrent workers could all miss
+        // the same key. The first reply is sent after its insert lands, so
+        // the other nine are hits.
+        push();
+        let mut replies = vec![rx.recv().unwrap()];
+        for _ in 0..9 {
+            push();
         }
         drop(tx);
         queue.close();
         pool.join();
-        let replies: Vec<String> = rx.iter().collect();
+        replies.extend(rx.iter());
         assert_eq!(replies.len(), 10);
         assert_eq!(ctx.stats.snapshot().completed, 10);
         assert_eq!(ctx.cache.misses(), 1);
