@@ -1,8 +1,9 @@
 //! Protocol-layer benchmarks: full four-phase runs (honest and deviant),
-//! the DES event engine's raw throughput, and the signature substrate.
+//! the Λ block mint, the DES event engine's raw throughput, and the
+//! signature substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use protocol::{Deviation, Registry, Scenario};
+use protocol::{BlockMint, Deviation, LoadTag, Registry, Scenario};
 use sim::{Engine, SimTime};
 use std::hint::black_box;
 use workloads::ChainConfig;
@@ -31,6 +32,28 @@ fn full_run(c: &mut Criterion) {
             b.iter(|| black_box(protocol::run(s)))
         });
     }
+    group.finish();
+}
+
+/// The Λ mint at a protocol run's 10,000 blocks: minting, one chain
+/// receipt (the tail of the load a node received), and verifying half the
+/// load as a range of the verifier's own mint and as ids held outright.
+fn lambda(c: &mut Criterion) {
+    const BLOCKS: usize = 10_000;
+    let mut group = c.benchmark_group("lambda");
+    group.bench_function("mint", |b| b.iter(|| black_box(BlockMint::new(BLOCKS, 42))));
+    let mint = BlockMint::new(BLOCKS, 42);
+    group.bench_function("chain_receipt", |b| {
+        b.iter(|| black_box(mint.range(BLOCKS / 2, BLOCKS / 2)))
+    });
+    let range = mint.range(BLOCKS / 2, BLOCKS / 2);
+    let owned = LoadTag::from_ids(range.ids().to_vec());
+    group.bench_function("verify_same_mint_range", |b| {
+        b.iter(|| black_box(mint.verify(&range)))
+    });
+    group.bench_function("verify_owned", |b| {
+        b.iter(|| black_box(mint.verify(&owned)))
+    });
     group.finish();
 }
 
@@ -68,5 +91,5 @@ fn signatures(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, full_run, event_engine, signatures);
+criterion_group!(benches, full_run, lambda, event_engine, signatures);
 criterion_main!(benches);

@@ -159,4 +159,56 @@ proptest! {
         prop_assert_eq!(record.substantiated, genuinely_over,
             "verdict must track the Λ-proven amount exactly");
     }
+
+    #[test]
+    fn replayed_tags_verify_only_against_the_same_seed(
+        blocks in 1usize..400,
+        seed in 0u64..1_000_000,
+        start_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..1.0,
+    ) {
+        // A transcript replay checks the run's tags against a second mint
+        // built from the run's seed; a mint from any other seed must
+        // refuse every non-empty tag.
+        let start = ((blocks as f64) * start_frac) as usize;
+        let len = (((blocks - start) as f64) * len_frac) as usize;
+        let tag = BlockMint::new(blocks, seed).range(start, len);
+        let proven = len as f64 / blocks as f64;
+        prop_assert_eq!(BlockMint::new(blocks, seed).verify(&tag), Some(proven));
+        let owned = LoadTag::from_ids(tag.ids().to_vec());
+        prop_assert_eq!(BlockMint::new(blocks, seed).verify(&owned), Some(proven));
+        let other = BlockMint::new(blocks, seed ^ 0x9E37_79B9_7F4A_7C15);
+        if len > 0 {
+            prop_assert_eq!(other.verify(&tag), None);
+            prop_assert_eq!(other.verify(&owned), None);
+        }
+    }
+
+    #[test]
+    fn forged_and_duplicated_tags_fail_in_both_representations(
+        blocks in 2usize..400,
+        seed in 0u64..1_000_000,
+        n in 1usize..100,
+        dup_at in 0usize..100,
+    ) {
+        let mint = BlockMint::new(blocks, seed);
+        let replay = BlockMint::new(blocks, seed);
+        let n = n.min(blocks);
+        // Forgeries: guessed ids held outright, and a range of a mint drawn
+        // from a seed the forger picked.
+        let guessed = LoadTag::forged(n, seed.wrapping_add(1).wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let foreign = BlockMint::new(blocks, !seed).range(0, n);
+        // Duplicates: a genuine range with one of its ids shown twice, and
+        // a genuine range glued to an overlapping one.
+        let genuine = mint.range(blocks - n, n);
+        let mut doubled = genuine.ids().to_vec();
+        doubled.push(doubled[dup_at % n]);
+        let mut glued = mint.range(0, blocks / 2 + 1).ids().to_vec();
+        glued.extend_from_slice(mint.range(blocks / 2, blocks - blocks / 2).ids());
+        for bad in [guessed, foreign, LoadTag::from_ids(doubled), LoadTag::from_ids(glued)] {
+            prop_assert_eq!(mint.verify(&bad), None, "{:?}", bad);
+            prop_assert_eq!(replay.verify(&bad), None, "{:?}", bad);
+        }
+        prop_assert!(mint.verify(&genuine).is_some() && replay.verify(&genuine).is_some());
+    }
 }

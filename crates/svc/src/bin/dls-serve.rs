@@ -19,15 +19,14 @@
 //!
 //! Speaks newline-delimited JSON (see the `svc` crate docs for the ops).
 //! With `DLS_TRACE=path.jsonl` set, streams `obs` records to that file
-//! (flushed on drain); otherwise an in-memory sink feeds the `stats`
-//! endpoint's `obs` mirror.
+//! (flushed on drain); otherwise no sink is installed and `obs` stays on
+//! its disabled fast path.
 //!
 //! `--self-test` starts the server on an ephemeral port, runs a scripted
 //! request batch against it (health, cold + cached solves, a fault run, a
 //! malformed line, stats, shutdown), verifies the responses and the drain
 //! ledger, and exits non-zero on any mismatch — the CI smoke test.
 
-use std::sync::Arc;
 use svc::{serve, Client, Router, RouterConfig, ServerConfig, Supervisor, SupervisorConfig};
 
 fn parse_args() -> (ServerConfig, bool, usize) {
@@ -86,11 +85,6 @@ fn parse_args() -> (ServerConfig, bool, usize) {
 fn main() {
     let (mut config, self_test, fleet) = parse_args();
     let traced = obs::init_from_env();
-    if traced.is_none() {
-        let sink = Arc::new(obs::MemorySink::new());
-        obs::install(sink.clone());
-        config.obs_memory = Some(sink);
-    }
     if self_test {
         config.addr = "127.0.0.1:0".into();
         config.workers = 2;

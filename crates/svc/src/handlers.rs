@@ -157,6 +157,11 @@ pub const MAX_JOB_ROUNDS: usize = 64;
 /// Largest accepted per-installment `comm_startup`.
 pub const MAX_COMM_STARTUP: f64 = 1e3;
 
+/// Largest accepted `ft_run` chain: a protocol run is O(m) messages and
+/// its recovery re-solves residual chains, so one oversized request must
+/// not hold a worker past any deadline.
+pub const MAX_FT_RUN_M: usize = 1024;
+
 /// A parsed request envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -291,6 +296,11 @@ fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, S
             let root_rate = f64_field(v, "root_rate")?;
             let rates = vec_field(v, "rates")?;
             let links = vec_field(v, "links")?;
+            if rates.len().max(links.len()) > MAX_FT_RUN_M {
+                return Err(format!(
+                    "ft_run takes at most {MAX_FT_RUN_M} rates and links"
+                ));
+            }
             let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(0);
             let crash = match v.get("crash") {
                 None | Some(Value::Null) => None,
@@ -758,6 +768,23 @@ mod tests {
         match parse_request(&line, 1e-9).unwrap().kind {
             RequestKind::Work(WorkRequest::FtRun { crash, .. }) => {
                 assert_eq!(crash, Some((1, 4, 0.5)));
+            }
+            other => panic!("parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ft_run_rejects_chains_over_the_cap() {
+        let line = |m: usize| {
+            let xs = vec!["0.5"; m].join(",");
+            format!(r#"{{"op":"ft_run","id":7,"root_rate":1.0,"rates":[{xs}],"links":[{xs}]}}"#)
+        };
+        let (id, msg) = parse_request(&line(MAX_FT_RUN_M + 1), 1e-9).unwrap_err();
+        assert_eq!(id, Some(7));
+        assert!(msg.contains("at most 1024"), "{msg}");
+        match parse_request(&line(MAX_FT_RUN_M), 1e-9).unwrap().kind {
+            RequestKind::Work(WorkRequest::FtRun { rates, .. }) => {
+                assert_eq!(rates.len(), MAX_FT_RUN_M);
             }
             other => panic!("parsed as {other:?}"),
         }

@@ -700,7 +700,6 @@ mod tests {
             retry_after_ms: 25,
             allow_remote_shutdown: false,
             quantum_bits: AtomicU64::new(quant::DEFAULT_QUANTUM.to_bits()),
-            obs_memory: None,
             jobs: JobRegistry::new(8),
         })
     }

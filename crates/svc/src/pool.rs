@@ -30,9 +30,6 @@ pub struct ServiceCtx {
     /// [`ServiceCtx::quantum`]; change it through
     /// [`ServiceCtx::set_quantum`] (which also invalidates the cache).
     pub quantum_bits: AtomicU64,
-    /// When the server installed a [`obs::MemorySink`], the stats endpoint
-    /// mirrors its counter totals.
-    pub obs_memory: Option<Arc<obs::MemorySink>>,
     /// Per-chain job queues and their scheduler threads
     /// ([`crate::jobs`]).
     pub jobs: crate::jobs::JobRegistry,
@@ -198,7 +195,6 @@ mod tests {
             retry_after_ms: 25,
             allow_remote_shutdown: false,
             quantum_bits: AtomicU64::new(quant::DEFAULT_QUANTUM.to_bits()),
-            obs_memory: None,
             jobs: crate::jobs::JobRegistry::new(crate::jobs::DEFAULT_MAX_QUEUED_JOBS),
         }
     }

@@ -73,9 +73,6 @@ pub struct ServerConfig {
     /// `--addr` binds a non-loopback interface, remote clients must not
     /// be able to drain the server.
     pub allow_remote_shutdown: bool,
-    /// Mirror obs counters from this memory sink in the stats endpoint
-    /// (the server does not install it; the binary decides).
-    pub obs_memory: Option<Arc<obs::MemorySink>>,
 }
 
 impl Default for ServerConfig {
@@ -93,7 +90,6 @@ impl Default for ServerConfig {
             retry_after_ms: 25,
             max_conns: 256,
             allow_remote_shutdown: false,
-            obs_memory: None,
         }
     }
 }
@@ -187,7 +183,7 @@ impl Shared {
                 )
             })
             .collect();
-        let mut fields = vec![
+        Value::Object(vec![
             (
                 "uptime_s".into(),
                 Value::Number(self.ctx.stats.uptime_secs()),
@@ -205,24 +201,8 @@ impl Shared {
             ("cache".into(), self.cache_counters()),
             ("endpoints".into(), Value::Object(endpoints)),
             ("jobs".into(), self.jobs_block()),
-        ];
-        if let Some(sink) = &self.ctx.obs_memory {
-            fields.push((
-                "obs".into(),
-                Value::Object(vec![
-                    (
-                        "requests".into(),
-                        Value::Number(sink.counter_total("svc.requests")),
-                    ),
-                    (
-                        "cache_hits".into(),
-                        Value::Number(sink.counter_total("svc.cache.hit")),
-                    ),
-                    ("records".into(), Value::Number(sink.len() as f64)),
-                ]),
-            ));
-        }
-        Value::Object(fields).to_json()
+        ])
+        .to_json()
     }
 
     /// The job-queue block shared by `stats`: aggregate lifecycle
@@ -675,7 +655,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         retry_after_ms: config.retry_after_ms,
         allow_remote_shutdown: config.allow_remote_shutdown,
         quantum_bits: std::sync::atomic::AtomicU64::new(config.quantum.to_bits()),
-        obs_memory: config.obs_memory.clone(),
         jobs: crate::jobs::JobRegistry::new(config.job_queue_capacity),
     });
     let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
