@@ -446,7 +446,6 @@ fn main() {
         total,
         distinct_chains: distinct,
         processors: 5,
-        ft_fraction: 0.0,
         seed,
     };
     let lines = requests::solve_lines_indexed(&cfg);

@@ -24,9 +24,15 @@
 //! The pieces: [`quant`] canonicalizes requests to quantized chains (the
 //! cache identity), [`cache`] is the sharded LRU solver cache, [`queue`]
 //! the bounded admission queue, [`pool`] the workers, [`handlers`] the
-//! parse/execute layer, [`server`] the TCP front end with graceful drain,
-//! [`client`] a blocking client. `bin/dls-serve` is the binary;
-//! `bench/src/bin/dls-bench-serve` drives it closed-loop (experiment E23).
+//! parse/execute layer, [`server`] the shard server with graceful drain,
+//! [`client`] a blocking client. `bin/dls-serve` is the binary.
+//!
+//! The shard server and the [`router`] share one private connection
+//! front: the accept loop with its connection cap ([`MAX_CONNS`]), the
+//! NDJSON framing loop with its line cap ([`MAX_LINE_BYTES`]), the
+//! loopback gate for `shutdown`/`reconfigure`, and the latency object of
+//! `stats`/`metrics`. A client past either cap gets one typed rejection
+//! line and the connection closes.
 //!
 //! ### Resilience layer (DESIGN.md §11)
 //!
@@ -62,6 +68,7 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
+mod front;
 pub mod handlers;
 pub mod jobs;
 pub mod pool;
@@ -77,6 +84,7 @@ pub mod telemetry;
 pub use cache::SolverCache;
 pub use chaos::{ChaosConfig, ChaosProxy, FaultKind};
 pub use client::{Client, ClientConfig};
+pub use front::{MAX_CONNS, MAX_LINE_BYTES};
 pub use jobs::{JobRegistry, JobSpec};
 pub use quant::{canonicalize, CanonicalChain, ChainKey, DEFAULT_QUANTUM, MAX_TICKS};
 pub use queue::{BoundedQueue, PushError};

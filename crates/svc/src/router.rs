@@ -28,16 +28,24 @@
 //! exactly (asserted in `tests/resilience_e2e.rs`).
 //!
 //! ### Failure handling
-//! A connect/IO failure marks the slot down (after
-//! [`RouterConfig::failure_threshold`] consecutive failures) and the
-//! request fails over to the next slot in its preference order; a
-//! `draining` rejection does the same (the shard is going away). When no
-//! slot can take the request the client gets a `"rejected"` /
-//! `"unavailable"` response with a retry hint. An optional prober thread
-//! re-checks downed slots so they rejoin once the supervisor restarts
-//! them (the [`crate::supervisor`] also flips slots back up directly).
+//! A connect/IO failure marks the slot down and the request fails over
+//! to the next slot in its preference order; a `draining` rejection does
+//! the same (the shard is going away). When no slot can take the request
+//! the client gets a `"rejected"` / `"unavailable"` response with a retry
+//! hint. An optional prober thread re-checks downed slots so they rejoin
+//! once the supervisor restarts them (the [`crate::supervisor`] also
+//! flips slots back up directly).
+//!
+//! ### Connections
+//! Accepting, framing and the control gate are the connection front the
+//! router shares with the shard server, so the router caps its clients at
+//! [`MAX_CONNS`](crate::MAX_CONNS) and its lines at
+//! [`MAX_LINE_BYTES`](crate::MAX_LINE_BYTES) exactly as a shard does. Each
+//! connection forwards one line at a time and writes each response before
+//! reading the next line.
 
 use crate::client::{Client, ClientConfig};
+use crate::front::{self, Accepting, Tier};
 use crate::handlers::{self, RequestKind, WorkRequest};
 use crate::telemetry::{self, PromText};
 use minijson::Value;
@@ -45,12 +53,17 @@ use obs::Histogram;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Connect/read/write timeout for each shard hop.
+const SHARD_TIMEOUT: Duration = Duration::from_secs(2);
+/// Consecutive failures before a slot is marked down.
+const FAILURE_THRESHOLD: u64 = 1;
 
 /// One shard slot: where it lives and how it is doing.
 struct Slot {
@@ -95,6 +108,18 @@ pub struct SlotSnapshot {
     pub failovers: u64,
     /// Backpressure rejections answered here and relayed unchanged.
     pub relayed_rejections: u64,
+}
+
+impl SlotSnapshot {
+    /// The per-slot forwarding counters, named as `stats`, `metrics` and
+    /// the Prometheus text name them.
+    fn counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("forwarded", self.forwarded),
+            ("failovers", self.failovers),
+            ("relayed_rejections", self.relayed_rejections),
+        ]
+    }
 }
 
 /// The shared fleet map: the supervisor writes addresses into it, the
@@ -218,6 +243,12 @@ impl ShardDirectory {
     }
 }
 
+/// A slot's forwarding counters as JSON object fields.
+fn counter_fields(slot: &SlotSnapshot) -> impl Iterator<Item = (String, Value)> {
+    let counters = slot.counters().into_iter();
+    counters.map(|(k, v)| (k.to_string(), Value::Number(v as f64)))
+}
+
 /// Highest-random-weight score of `slot` for `key_hash`.
 fn rendezvous_weight(key_hash: u64, slot: usize) -> u64 {
     let mut h = DefaultHasher::new();
@@ -231,16 +262,12 @@ fn rendezvous_weight(key_hash: u64, slot: usize) -> u64 {
 pub struct RouterConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Connect/read/write timeout for each shard hop.
-    pub shard_timeout: Duration,
     /// Probe interval for downed-slot recovery; `Duration::ZERO` disables
     /// the prober (then only the supervisor flips slots back up). Note
     /// probes count toward shard `received` totals.
     pub health_interval: Duration,
     /// Retry hint on router-level `unavailable` rejections.
     pub retry_after_ms: u64,
-    /// Consecutive failures before a slot is marked down.
-    pub failure_threshold: u64,
     /// Honor `shutdown`/`reconfigure` ops from non-loopback peers.
     pub allow_remote_shutdown: bool,
 }
@@ -249,10 +276,8 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            shard_timeout: Duration::from_secs(2),
             health_interval: Duration::from_millis(250),
             retry_after_ms: 50,
-            failure_threshold: 1,
             allow_remote_shutdown: false,
         }
     }
@@ -313,10 +338,9 @@ impl RouterShared {
     }
 
     fn begin_drain(&self) {
-        if !self.draining.swap(true, Ordering::SeqCst) {
-            obs::event!("router.drain.begin");
-            let _ = TcpStream::connect(self.addr);
-        }
+        front::begin_drain(&self.draining, self.addr, || {
+            obs::event!("router.drain.begin")
+        });
     }
 
     fn health_body(&self) -> String {
@@ -344,7 +368,7 @@ impl RouterShared {
             .snapshot()
             .into_iter()
             .map(|slot| {
-                Value::Object(vec![
+                let mut row = vec![
                     ("slot".into(), Value::Number(slot.slot as f64)),
                     (
                         "addr".into(),
@@ -356,13 +380,9 @@ impl RouterShared {
                     ("healthy".into(), Value::Bool(slot.healthy)),
                     ("generation".into(), Value::Number(slot.generation as f64)),
                     ("restarts".into(), Value::Number(slot.restarts as f64)),
-                    ("forwarded".into(), Value::Number(slot.forwarded as f64)),
-                    ("failovers".into(), Value::Number(slot.failovers as f64)),
-                    (
-                        "relayed_rejections".into(),
-                        Value::Number(slot.relayed_rejections as f64),
-                    ),
-                ])
+                ];
+                row.extend(counter_fields(&slot));
+                Value::Object(row)
             })
             .collect();
         Value::Object(vec![
@@ -410,35 +430,14 @@ impl RouterShared {
         for (name, v) in &counters {
             prom.counter(&format!("dls_router_{name}_total"), *v as f64);
         }
-        for (i, slot) in slots.iter().enumerate() {
-            let idx = slot.slot.to_string();
-            let labels: [(&str, &str); 1] = [("slot", &idx)];
-            prom.labeled_counter(
-                "dls_router_slot_forwarded_total",
-                &labels,
-                slot.forwarded as f64,
-                i == 0,
-            );
-        }
-        for (i, slot) in slots.iter().enumerate() {
-            let idx = slot.slot.to_string();
-            let labels: [(&str, &str); 1] = [("slot", &idx)];
-            prom.labeled_counter(
-                "dls_router_slot_failovers_total",
-                &labels,
-                slot.failovers as f64,
-                i == 0,
-            );
-        }
-        for (i, slot) in slots.iter().enumerate() {
-            let idx = slot.slot.to_string();
-            let labels: [(&str, &str); 1] = [("slot", &idx)];
-            prom.labeled_counter(
-                "dls_router_slot_relayed_rejections_total",
-                &labels,
-                slot.relayed_rejections as f64,
-                i == 0,
-            );
+        for k in 0..3 {
+            for (i, slot) in slots.iter().enumerate() {
+                let (name, value) = slot.counters()[k];
+                let idx = slot.slot.to_string();
+                let labels: [(&str, &str); 1] = [("slot", &idx)];
+                let family = format!("dls_router_slot_{name}_total");
+                prom.labeled_counter(&family, &labels, value as f64, i == 0);
+            }
         }
 
         // Fleet aggregation: one fresh `metrics` call per addressed slot.
@@ -451,7 +450,7 @@ impl RouterShared {
         ];
         for slot in &slots {
             let Some(addr) = slot.addr else { continue };
-            let resp = Client::connect_with(addr, ClientConfig::fast(self.config.shard_timeout))
+            let resp = Client::connect_with(addr, ClientConfig::fast(SHARD_TIMEOUT))
                 .and_then(|mut c| c.call_raw("{\"op\":\"metrics\"}"));
             let Ok(resp) = resp else { continue };
             let Ok(v) = Value::parse(&resp) else { continue };
@@ -489,35 +488,24 @@ impl RouterShared {
         let mut latency_json = Vec::new();
         for (i, (name, hist, count)) in fleet_latency.iter_mut().enumerate() {
             prom.summary("dls_fleet_latency_us", &[("endpoint", *name)], hist, i == 0);
+            // Exact all-time fleet count (summed shard counts);
+            // percentiles are over the merged recent windows.
             let summary = hist.summary();
-            let nan_safe = |x: f64| if x.is_finite() { x } else { 0.0 };
             latency_json.push((
                 name.to_string(),
-                Value::Object(vec![
-                    // Exact all-time fleet count (summed shard counts);
-                    // percentiles are over the merged recent windows.
-                    ("count".into(), Value::Number(*count)),
-                    ("p50_us".into(), Value::Number(nan_safe(summary.p50))),
-                    ("p90_us".into(), Value::Number(nan_safe(summary.p90))),
-                    ("p99_us".into(), Value::Number(nan_safe(summary.p99))),
-                    ("max_us".into(), Value::Number(nan_safe(summary.max))),
-                ]),
+                front::latency_json(*count, &summary, None),
             ));
         }
         let slot_rows = slots
             .iter()
             .map(|slot| {
-                Value::Object(vec![
+                let mut row = vec![
                     ("slot".into(), Value::Number(slot.slot as f64)),
                     ("healthy".into(), Value::Bool(slot.healthy)),
                     ("restarts".into(), Value::Number(slot.restarts as f64)),
-                    ("forwarded".into(), Value::Number(slot.forwarded as f64)),
-                    ("failovers".into(), Value::Number(slot.failovers as f64)),
-                    (
-                        "relayed_rejections".into(),
-                        Value::Number(slot.relayed_rejections as f64),
-                    ),
-                ])
+                ];
+                row.extend(counter_fields(slot));
+                Value::Object(row)
             })
             .collect();
         Value::Object(vec![
@@ -622,9 +610,7 @@ impl Forwarder {
                         // stays correct to fail this key over right now.
                         // (The shard framed the line, so the attempt has
                         // a matching receive — not a failed attempt.)
-                        shared
-                            .directory
-                            .record_failure(slot, shared.config.failure_threshold);
+                        shared.directory.record_failure(slot, FAILURE_THRESHOLD);
                         shared.directory.slots[slot]
                             .failovers
                             .fetch_add(1, Ordering::Relaxed);
@@ -690,19 +676,16 @@ impl Forwarder {
             Some(c) if c.generation == generation => {}
             _ => {
                 self.conns.remove(&slot);
-                let client =
-                    Client::connect_with(addr, ClientConfig::fast(shared.config.shard_timeout))
-                        .map_err(|_| {
-                            shared
-                                .directory
-                                .record_failure(slot, shared.config.failure_threshold);
-                            // No line was sent, so this is not a forward
-                            // attempt — only a per-slot failover.
-                            shared.directory.slots[slot]
-                                .failovers
-                                .fetch_add(1, Ordering::Relaxed);
-                        })
-                        .ok()?;
+                let client = Client::connect_with(addr, ClientConfig::fast(SHARD_TIMEOUT))
+                    .map_err(|_| {
+                        shared.directory.record_failure(slot, FAILURE_THRESHOLD);
+                        // No line was sent, so this is not a forward
+                        // attempt — only a per-slot failover.
+                        shared.directory.slots[slot]
+                            .failovers
+                            .fetch_add(1, Ordering::Relaxed);
+                    })
+                    .ok()?;
                 self.conns.insert(slot, CachedConn { generation, client });
             }
         }
@@ -721,9 +704,7 @@ impl Forwarder {
             Ok(resp) => Some(resp),
             Err(_) => {
                 self.conns.remove(&slot);
-                shared
-                    .directory
-                    .record_failure(slot, shared.config.failure_threshold);
+                shared.directory.record_failure(slot, FAILURE_THRESHOLD);
                 shared.directory.slots[slot]
                     .failovers
                     .fetch_add(1, Ordering::Relaxed);
@@ -747,7 +728,7 @@ impl Forwarder {
                 failed += 1;
                 continue;
             };
-            let sent = Client::connect_with(addr, ClientConfig::fast(shared.config.shard_timeout))
+            let sent = Client::connect_with(addr, ClientConfig::fast(SHARD_TIMEOUT))
                 .and_then(|mut c| c.call_raw(line));
             match sent {
                 Ok(resp) if resp.contains("\"status\":\"ok\"") => ok += 1,
@@ -773,58 +754,39 @@ fn routing_hash(kind: Option<&RequestKind>, line: &str) -> u64 {
     h.finish()
 }
 
-/// Handle one client connection: serial request/response forwarding.
-fn connection_loop(shared: &RouterShared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let peer_loopback = stream
-        .peer_addr()
-        .map(|a| a.ip().is_loopback())
-        .unwrap_or(false);
+/// One client connection: forward each framed line and write its
+/// response before reading the next.
+fn connection(shared: &RouterShared, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let mut writer = BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
     let mut forwarder = Forwarder::new();
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let response = handle_request(shared, &mut forwarder, trimmed, peer_loopback);
-                    if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
-                        return;
-                    }
-                }
-                line.clear();
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
+    let allow_remote = shared.config.allow_remote_shutdown;
+    front::frame_lines(stream, &shared.draining, allow_remote, |line, control| {
+        let response = handle_request(shared, &mut forwarder, line, control);
+        writeln!(writer, "{response}").is_ok() && writer.flush().is_ok()
+    });
 }
 
+/// Answer one framed line (`Err` for an over-long one, answered here as
+/// an error and never forwarded). `control` says whether the peer passed
+/// the front's gate for `shutdown`/`reconfigure`.
 fn handle_request(
     shared: &RouterShared,
     forwarder: &mut Forwarder,
-    line: &str,
-    peer_loopback: bool,
+    line: Result<&str, &str>,
+    control: bool,
 ) -> String {
     shared.counters.received.fetch_add(1, Ordering::Relaxed);
     obs::count!("router.requests");
+    let line = match line {
+        Ok(line) => line,
+        Err(message) => {
+            obs::count!("router.rejected.oversize");
+            return handlers::error_response(None, message);
+        }
+    };
     let parsed = handlers::parse_request(line, crate::quant::DEFAULT_QUANTUM);
     let (id, kind) = match &parsed {
         Ok(r) => (r.id, Some(&r.kind)),
@@ -835,7 +797,7 @@ fn handle_request(
         Some(RequestKind::Stats) => handlers::ok_response(id, None, &shared.stats_body()),
         Some(RequestKind::Metrics) => handlers::ok_response(id, None, &shared.metrics_body()),
         Some(RequestKind::Shutdown) => {
-            if peer_loopback || shared.config.allow_remote_shutdown {
+            if control {
                 shared.begin_drain();
                 handlers::ok_response(id, None, "{\"state\":\"draining\"}")
             } else {
@@ -848,7 +810,7 @@ fn handle_request(
         Some(RequestKind::Reconfigure { .. }) => {
             // Quantum must stay fleet-consistent (it is the cache-key
             // epoch), so reconfigure fans out to every shard.
-            if !(peer_loopback || shared.config.allow_remote_shutdown) {
+            if !control {
                 return handlers::error_response(
                     id,
                     "reconfigure refused: only loopback peers may reconfigure this router",
@@ -900,9 +862,8 @@ fn handle_request(
 pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    accept: Option<JoinHandle<()>>,
+    front: Accepting,
     prober: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl RouterHandle {
@@ -927,14 +888,9 @@ impl RouterHandle {
     }
 
     /// Wait for the drain to finish; returns the final counters.
-    pub fn join(mut self) -> RouterStats {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in std::mem::take(&mut *self.conns.lock().unwrap()) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
+    pub fn join(self) -> RouterStats {
+        self.front.join();
+        if let Some(h) = self.prober {
             let _ = h.join();
         }
         self.shared.stats()
@@ -961,30 +917,19 @@ impl Router {
             addr,
             started: Instant::now(),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("router-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.draining.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        obs::count!("router.connections");
-                        conns.lock().unwrap().retain(|h| !h.is_finished());
-                        let shared2 = Arc::clone(&shared);
-                        let handle = std::thread::Builder::new()
-                            .name("router-conn".into())
-                            .spawn(move || connection_loop(&shared2, stream))
-                            .expect("spawn router connection thread");
-                        conns.lock().unwrap().push(handle);
-                    }
-                })
-                .expect("spawn router accept thread")
-        };
+        let front = front::spawn_accept(
+            listener,
+            Tier {
+                name: "router",
+                connections: "router.connections",
+                capped: "router.connections.capped",
+                max_conns: front::MAX_CONNS,
+                retry_after_ms: shared.config.retry_after_ms,
+            },
+            Arc::clone(&shared),
+            |s| &s.draining,
+            connection,
+        );
         let prober = if shared.config.health_interval > Duration::ZERO {
             let shared = Arc::clone(&shared);
             Some(
@@ -999,9 +944,8 @@ impl Router {
         Ok(RouterHandle {
             addr,
             shared,
-            accept: Some(accept),
+            front,
             prober,
-            conns,
         })
     }
 }
@@ -1009,7 +953,7 @@ impl Router {
 /// Probe every addressed slot each interval, flipping health bits. Probe
 /// timeouts are capped low so a dead shard can't stall the sweep.
 fn prober_loop(shared: &RouterShared) {
-    let timeout = shared.config.shard_timeout.min(Duration::from_millis(250));
+    let timeout = SHARD_TIMEOUT.min(Duration::from_millis(250));
     while !shared.draining.load(Ordering::SeqCst) {
         for slot in 0..shared.directory.len() {
             let Some(addr) = shared.directory.addr(slot) else {
@@ -1023,9 +967,7 @@ fn prober_loop(shared: &RouterShared) {
             if alive {
                 shared.directory.mark_healthy(slot);
             } else {
-                shared
-                    .directory
-                    .record_failure(slot, shared.config.failure_threshold);
+                shared.directory.record_failure(slot, FAILURE_THRESHOLD);
             }
         }
         // Sleep in small slices so drain is observed promptly.

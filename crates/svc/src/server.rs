@@ -1,20 +1,22 @@
-//! The TCP server: accept loop, per-connection reader/writer threads,
-//! dispatch into the worker pool, and graceful drain.
+//! The shard server: per-line dispatch into the worker pool, a writer
+//! thread per connection, and graceful drain. Accepting, framing and the
+//! control gate are the connection front it shares with the router.
 //!
 //! ### Threading model
-//! One accept thread; per connection, one reader thread (frames NDJSON
-//! lines, answers control ops inline, admits work ops to the bounded
-//! queue) and one writer thread (serializes responses from an `mpsc`
-//! channel, so workers never block on a slow client socket); a fixed pool
-//! of worker threads executing [`crate::handlers`]. Responses carry the
-//! request's `id`, so pipelined completions may arrive out of order.
+//! One accept thread; per connection, one thread that frames NDJSON
+//! lines, answers control ops inline and admits work ops to the bounded
+//! queue, plus the writer thread it owns (serializes responses from an
+//! `mpsc` channel, so workers never block on a slow client socket); a
+//! fixed pool of worker threads executing [`crate::handlers`]. Responses
+//! carry the request's `id`, so pipelined completions may arrive out of
+//! order.
 //!
 //! ### Backpressure
-//! Admission is non-blocking: when the queue is full the reader answers
-//! `status = "rejected"` with a `retry_after_ms` hint instead of queueing
-//! unboundedly. Every framed request is answered exactly once, so after a
-//! drain `received == completed + rejected` — checked by the E23 harness
-//! and the integration tests.
+//! Admission is non-blocking: when the queue is full the connection
+//! answers `status = "rejected"` with a `retry_after_ms` hint instead of
+//! queueing unboundedly. Every framed request, an over-long line
+//! included, is answered exactly once, so after a drain
+//! `received == completed + rejected`, which the integration tests check.
 //!
 //! ### Graceful drain
 //! A `shutdown` op (or [`ServerHandle::shutdown`]) stops the accept loop,
@@ -23,6 +25,7 @@
 //! final counter snapshot to [`ServerHandle::join`].
 
 use crate::cache::SolverCache;
+use crate::front::{self, Accepting, Tier};
 use crate::handlers::{self, JobOp, Request, RequestKind};
 use crate::jobs::{self, JobSpec};
 use crate::pool::{Job, ServiceCtx, WorkerPool};
@@ -32,12 +35,16 @@ use crate::stats::{Endpoint, StatsRegistry, LATENCY_SAMPLE_CAP};
 use crate::telemetry::PromText;
 use minijson::Value;
 use obs::Histogram;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// Solver-cache shard count.
+const CACHE_SHARDS: usize = 16;
+/// Entries per solver-cache shard.
+const CACHE_CAPACITY_PER_SHARD: usize = 512;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
@@ -51,10 +58,6 @@ pub struct ServerConfig {
     /// Most jobs held queued across all per-chain job queues before
     /// `submit_job` is rejected with backpressure.
     pub job_queue_capacity: usize,
-    /// Solver-cache shard count.
-    pub cache_shards: usize,
-    /// Entries per cache shard.
-    pub cache_capacity_per_shard: usize,
     /// Rate quantization step for cache keys (changeable at runtime via
     /// the `reconfigure` op, which also drops the cache).
     pub quantum: f64,
@@ -82,13 +85,11 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 1024,
             job_queue_capacity: crate::jobs::DEFAULT_MAX_QUEUED_JOBS,
-            cache_shards: 16,
-            cache_capacity_per_shard: 512,
             quantum: quant::DEFAULT_QUANTUM,
             cache_ttl_ms: None,
             default_deadline_ms: 2_000,
             retry_after_ms: 25,
-            max_conns: 256,
+            max_conns: front::MAX_CONNS,
             allow_remote_shutdown: false,
         }
     }
@@ -104,12 +105,10 @@ struct Shared {
 impl Shared {
     /// Idempotently begin the drain: stop admission and unblock accept.
     fn begin_drain(&self) {
-        if !self.ctx.draining.swap(true, Ordering::SeqCst) {
+        front::begin_drain(&self.ctx.draining, self.addr, || {
             obs::event!("svc.drain.begin");
             self.queue.close();
-            // Poke the accept loop out of its blocking accept.
-            let _ = TcpStream::connect(self.addr);
-        }
+        });
     }
 
     fn health_body(&self) -> String {
@@ -167,19 +166,12 @@ impl Shared {
                 let mut merged = self.ctx.stats.merged_latency(e);
                 // Exact all-time count; percentiles are over the bounded
                 // recent window each worker shard retains.
-                let count = merged.total_count();
+                let count = merged.total_count() as f64;
                 let summary = merged.summary();
-                let nan_safe = |x: f64| if x.is_finite() { x } else { 0.0 };
+                let mean = ("mean_us", front::finite(summary.mean));
                 (
                     e.name().to_string(),
-                    Value::Object(vec![
-                        ("count".into(), Value::Number(count as f64)),
-                        ("p50_us".into(), Value::Number(nan_safe(summary.p50))),
-                        ("p90_us".into(), Value::Number(nan_safe(summary.p90))),
-                        ("p99_us".into(), Value::Number(nan_safe(summary.p99))),
-                        ("max_us".into(), Value::Number(nan_safe(summary.max))),
-                        ("mean_us".into(), Value::Number(nan_safe(summary.mean))),
-                    ]),
+                    front::latency_json(count, &summary, Some(mean)),
                 )
             })
             .collect();
@@ -285,26 +277,14 @@ impl Shared {
                 i == 0,
             );
             let summary = windowed.summary();
-            let nan_safe = |x: f64| if x.is_finite() { x } else { 0.0 };
+            let samples = windowed.sorted_samples().iter();
+            let samples = (
+                "samples",
+                Value::Array(samples.map(|&v| Value::Number(v)).collect()),
+            );
             latency.push((
                 e.name().to_string(),
-                Value::Object(vec![
-                    ("count".into(), Value::Number(windowed.total_count() as f64)),
-                    ("p50_us".into(), Value::Number(nan_safe(summary.p50))),
-                    ("p90_us".into(), Value::Number(nan_safe(summary.p90))),
-                    ("p99_us".into(), Value::Number(nan_safe(summary.p99))),
-                    ("max_us".into(), Value::Number(nan_safe(summary.max))),
-                    (
-                        "samples".into(),
-                        Value::Array(
-                            windowed
-                                .sorted_samples()
-                                .iter()
-                                .map(|&v| Value::Number(v))
-                                .collect(),
-                        ),
-                    ),
-                ]),
+                front::latency_json(windowed.total_count() as f64, &summary, Some(samples)),
             ));
         }
         Value::Object(vec![
@@ -327,29 +307,45 @@ impl Shared {
     }
 }
 
-/// May this connection's `shutdown` op drain the server? Loopback peers
-/// always may (the operational harnesses run on the same host); remote
-/// peers only when the server was started with `allow_remote_shutdown`.
-fn shutdown_permitted(peer_loopback: bool, allow_remote: bool) -> bool {
-    peer_loopback || allow_remote
-}
-
-/// Handle one framed request line; sends any inline response over `tx`.
-fn handle_line(shared: &Shared, line: &str, peer_loopback: bool, tx: &mpsc::Sender<String>) {
+/// Handle one framed request line (`Err` for an over-long one, answered
+/// as an error); sends any inline response over `tx`. `control` says
+/// whether the peer passed the front's gate for `shutdown`/`reconfigure`.
+fn handle_line(
+    shared: &Shared,
+    line: Result<&str, &str>,
+    control: bool,
+    tx: &mpsc::Sender<String>,
+) {
     let _span = obs::span!("svc.request");
     shared.ctx.stats.on_received();
+    let parsed = match line {
+        Ok(line) => handlers::parse_request(line, shared.ctx.quantum()),
+        Err(message) => {
+            obs::count!("svc.rejected.oversize");
+            Err((None, message.to_string()))
+        }
+    };
+    let reply = |failed: bool, response: String| {
+        shared.ctx.stats.on_completed(failed);
+        let _ = tx.send(response);
+    };
     let Request {
         id,
         deadline_ms,
         trace,
         kind,
-    } = match handlers::parse_request(line, shared.ctx.quantum()) {
+    } = match parsed {
         Ok(r) => r,
-        Err((id, msg)) => {
-            shared.ctx.stats.on_completed(true);
-            let _ = tx.send(handlers::error_response(id, &msg));
-            return;
-        }
+        Err((id, msg)) => return reply(true, handlers::error_response(id, &msg)),
+    };
+    let answer = |result: Result<String, String>| match result {
+        Ok(body) => reply(false, handlers::ok_response(id, None, &body)),
+        Err(msg) => reply(true, handlers::error_response(id, &msg)),
+    };
+    let reject = |draining: bool| {
+        shared.ctx.stats.on_rejected();
+        let retry_after_ms = shared.ctx.retry_after_ms;
+        let _ = tx.send(handlers::rejected_response(id, retry_after_ms, draining));
     };
     // The shard half of the fleet's trace-conservation ledger: one
     // receive event per traced line framed off a socket, matched against
@@ -358,45 +354,35 @@ fn handle_line(shared: &Shared, line: &str, peer_loopback: bool, tx: &mpsc::Send
         obs::event!("svc.receive", "trace" => t);
     }
     match kind {
-        RequestKind::Health => {
+        RequestKind::Health | RequestKind::Stats | RequestKind::Metrics => {
+            // Counted before the body is built, so `stats` and `metrics`
+            // include the request that asked for them.
             shared.ctx.stats.on_completed(false);
-            let _ = tx.send(handlers::ok_response(id, None, &shared.health_body()));
+            let body = match kind {
+                RequestKind::Health => shared.health_body(),
+                RequestKind::Stats => shared.stats_body(),
+                _ => shared.metrics_body(),
+            };
+            let _ = tx.send(handlers::ok_response(id, None, &body));
         }
-        RequestKind::Stats => {
-            shared.ctx.stats.on_completed(false);
-            let _ = tx.send(handlers::ok_response(id, None, &shared.stats_body()));
+        RequestKind::Shutdown if control => {
+            answer(Ok("{\"state\":\"draining\"}".into()));
+            shared.begin_drain();
         }
-        RequestKind::Metrics => {
-            shared.ctx.stats.on_completed(false);
-            let _ = tx.send(handlers::ok_response(id, None, &shared.metrics_body()));
-        }
-        RequestKind::Shutdown => {
-            if shutdown_permitted(peer_loopback, shared.ctx.allow_remote_shutdown) {
-                shared.ctx.stats.on_completed(false);
-                let _ = tx.send(handlers::ok_response(id, None, "{\"state\":\"draining\"}"));
-                shared.begin_drain();
-            } else {
-                shared.ctx.stats.on_completed(true);
-                let _ = tx.send(handlers::error_response(
-                    id,
-                    "shutdown refused: only loopback peers may drain this server \
-                     (start with --allow-remote-shutdown to override)",
-                ));
-            }
-        }
+        RequestKind::Shutdown => answer(Err(
+            "shutdown refused: only loopback peers may drain this server \
+             (start with --allow-remote-shutdown to override)"
+                .into(),
+        )),
+        // Same gate as `shutdown`: swapping the quantum drops the whole
+        // solver cache, which a remote peer must not be able to do to a
+        // server that did not opt in.
+        RequestKind::Reconfigure { .. } if !control => answer(Err(
+            "reconfigure refused: only loopback peers may reconfigure this server \
+             (start with --allow-remote-shutdown to override)"
+                .into(),
+        )),
         RequestKind::Reconfigure { quantum } => {
-            // Same gate as `shutdown`: swapping the quantum drops the
-            // whole solver cache, which a remote peer must not be able to
-            // do to a server that did not opt in.
-            if !shutdown_permitted(peer_loopback, shared.ctx.allow_remote_shutdown) {
-                shared.ctx.stats.on_completed(true);
-                let _ = tx.send(handlers::error_response(
-                    id,
-                    "reconfigure refused: only loopback peers may reconfigure this server \
-                     (start with --allow-remote-shutdown to override)",
-                ));
-                return;
-            }
             let cleared = match quantum {
                 Some(q) => {
                     obs::event!("svc.reconfigure");
@@ -404,7 +390,6 @@ fn handle_line(shared: &Shared, line: &str, peer_loopback: bool, tx: &mpsc::Send
                 }
                 None => false,
             };
-            shared.ctx.stats.on_completed(false);
             let body = Value::Object(vec![
                 ("quantum".into(), Value::Number(shared.ctx.quantum())),
                 ("cache_cleared".into(), Value::Bool(cleared)),
@@ -412,26 +397,17 @@ fn handle_line(shared: &Shared, line: &str, peer_loopback: bool, tx: &mpsc::Send
                     "cache_entries".into(),
                     Value::Number(shared.ctx.cache.len() as f64),
                 ),
-            ])
-            .to_json();
-            let _ = tx.send(handlers::ok_response(id, None, &body));
+            ]);
+            answer(Ok(body.to_json()));
         }
         RequestKind::Job(op) => match op {
+            JobOp::Submit { .. } if shared.ctx.draining.load(Ordering::SeqCst) => reject(true),
             JobOp::Submit {
                 chain,
                 load,
                 rounds,
                 comm_startup,
             } => {
-                if shared.ctx.draining.load(Ordering::SeqCst) {
-                    shared.ctx.stats.on_rejected();
-                    let _ = tx.send(handlers::rejected_response(
-                        id,
-                        shared.ctx.retry_after_ms,
-                        true,
-                    ));
-                    return;
-                }
                 // The response is sent by the chain's scheduler thread at
                 // job completion (or immediately, as a rejection, when the
                 // job queue is at capacity).
@@ -448,37 +424,10 @@ fn handle_line(shared: &Shared, line: &str, peer_loopback: bool, tx: &mpsc::Send
                     tx.clone(),
                 );
             }
-            JobOp::Status { job_id, .. } => match jobs::status_body(&shared.ctx, job_id) {
-                Ok(body) => {
-                    shared.ctx.stats.on_completed(false);
-                    let _ = tx.send(handlers::ok_response(id, None, &body));
-                }
-                Err(msg) => {
-                    shared.ctx.stats.on_completed(true);
-                    let _ = tx.send(handlers::error_response(id, &msg));
-                }
-            },
-            JobOp::Cancel { job_id, .. } => match jobs::cancel(&shared.ctx, job_id) {
-                Ok(body) => {
-                    shared.ctx.stats.on_completed(false);
-                    let _ = tx.send(handlers::ok_response(id, None, &body));
-                }
-                Err(msg) => {
-                    shared.ctx.stats.on_completed(true);
-                    let _ = tx.send(handlers::error_response(id, &msg));
-                }
-            },
+            JobOp::Status { job_id, .. } => answer(jobs::status_body(&shared.ctx, job_id)),
+            JobOp::Cancel { job_id, .. } => answer(jobs::cancel(&shared.ctx, job_id)),
         },
         RequestKind::Work(request) => {
-            if shared.ctx.draining.load(Ordering::SeqCst) {
-                shared.ctx.stats.on_rejected();
-                let _ = tx.send(handlers::rejected_response(
-                    id,
-                    shared.ctx.retry_after_ms,
-                    true,
-                ));
-                return;
-            }
             let deadline = Duration::from_millis(
                 deadline_ms.unwrap_or(shared.ctx.default_deadline.as_millis() as u64),
             );
@@ -490,74 +439,47 @@ fn handle_line(shared: &Shared, line: &str, peer_loopback: bool, tx: &mpsc::Send
                 trace,
                 reply: tx.clone(),
             };
+            // The queue closes when the drain begins, so this is also
+            // where late work is rejected as `draining`.
             match shared.queue.try_push(job) {
                 Ok(()) => {}
-                Err((job, PushError::Full)) => {
-                    shared.ctx.stats.on_rejected();
+                Err((_, PushError::Full)) => {
                     obs::count!("svc.rejected.backpressure");
-                    let _ = tx.send(handlers::rejected_response(
-                        job.id,
-                        shared.ctx.retry_after_ms,
-                        false,
-                    ));
+                    reject(false);
                 }
-                Err((job, PushError::Closed)) => {
-                    shared.ctx.stats.on_rejected();
-                    let _ = tx.send(handlers::rejected_response(
-                        job.id,
-                        shared.ctx.retry_after_ms,
-                        true,
-                    ));
-                }
+                Err((_, PushError::Closed)) => reject(true),
             }
         }
     }
 }
 
-/// Reader loop for one connection. Returns when the client disconnects or
-/// the server drains.
-fn reader_loop(shared: &Shared, stream: TcpStream, tx: mpsc::Sender<String>) {
-    let _ = stream.set_nodelay(true);
-    // A finite read timeout lets idle connections notice the drain.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let peer_loopback = stream
-        .peer_addr()
-        .map(|a| a.ip().is_loopback())
-        .unwrap_or(false);
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle_line(shared, trimmed, peer_loopback, &tx);
-                }
-                line.clear();
-                // Re-check the drain after every line, not only on idle
-                // timeouts: a client that pipelines continuously would
-                // otherwise never let this thread observe the drain and
-                // `join` would hang on it. Work is already rejected as
-                // "draining" at this point, so exiting after the response
-                // was queued is safe (the writer flushes before closing).
-                if shared.ctx.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Partial bytes (if any) stay in `line`; keep reading
-                // unless the server is draining.
-                if shared.ctx.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
+/// One connection: frame its lines on this thread while a writer thread
+/// it owns sends the responses. Returns once both are done, so joining it
+/// waits for every reply to this connection to be written.
+fn connection(shared: &Shared, stream: TcpStream) {
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    let (tx, rx) = mpsc::channel::<String>();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("dls-conn-writer".into())
+            .spawn_scoped(scope, move || writer_loop(write_half, rx))
+            .expect("spawn writer");
+        let allow_remote = shared.ctx.allow_remote_shutdown;
+        // The closure owns `tx`, so it is dropped when framing ends; the
+        // writer exits once the workers' and job schedulers' clones are
+        // gone too.
+        front::frame_lines(
+            stream,
+            &shared.ctx.draining,
+            allow_remote,
+            move |line, control| {
+                handle_line(shared, line, control, &tx);
+                true
+            },
+        );
+    });
 }
 
 /// Writer loop: serialize responses onto the socket, batching flushes.
@@ -584,10 +506,8 @@ fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<String>) {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    writers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    front: Accepting,
+    pool: WorkerPool,
 }
 
 impl ServerHandle {
@@ -609,26 +529,17 @@ impl ServerHandle {
     /// Wait for the drain to finish: accept loop, connections, backlog,
     /// sink flush. Returns the final counter snapshot. A drain must have
     /// been initiated (`shutdown` op or [`ServerHandle::shutdown`]).
-    pub fn join(mut self) -> crate::stats::StatsSnapshot {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Readers exit on drain; no admission can happen after this point.
-        for h in std::mem::take(&mut *self.readers.lock().unwrap()) {
-            let _ = h.join();
-        }
+    pub fn join(self) -> crate::stats::StatsSnapshot {
+        // Admission closed when the drain began. Each connection stops
+        // reading once it notices the drain and returns once its writer
+        // has sent every reply: the writer outlives the reply senders
+        // that queued work holds, which workers and job schedulers drop
+        // as they finish the backlog without being joined first.
+        self.front.join();
         // Workers exit once the closed queue is empty.
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
-        // Job schedulers exit once their chain queues are empty (no
-        // admission can add to them now). They hold reply senders, so
-        // they must be joined before the writers below.
+        self.pool.join();
+        // Job schedulers exit once their chain queues are empty.
         self.shared.ctx.jobs.join_schedulers();
-        // Writers exit once every job's reply sender is gone.
-        for h in std::mem::take(&mut *self.writers.lock().unwrap()) {
-            let _ = h.join();
-        }
         obs::flush();
         obs::event!("svc.drain.done");
         self.shared.ctx.stats.snapshot()
@@ -640,8 +551,8 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let cache = SolverCache::with_ttl(
-        config.cache_shards,
-        config.cache_capacity_per_shard,
+        CACHE_SHARDS,
+        CACHE_CAPACITY_PER_SHARD,
         config.cache_ttl_ms.map(Duration::from_millis),
     );
     // Pin the starting quantization epoch so a later `reconfigure` to a
@@ -665,83 +576,23 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         addr,
         workers: config.workers,
     });
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let writers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let accept = {
-        let shared = Arc::clone(&shared);
-        let readers = Arc::clone(&readers);
-        let writers = Arc::clone(&writers);
-        let max_conns = config.max_conns.max(1);
-        std::thread::Builder::new()
-            .name("dls-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.ctx.draining.load(Ordering::SeqCst) {
-                        return; // the poke connection or a late client
-                    }
-                    let Ok(stream) = stream else { continue };
-                    obs::count!("svc.connections");
-                    // Reap threads of connections that already closed, so
-                    // handles don't accumulate under connection churn
-                    // (finished threads are safe to detach by dropping).
-                    readers.lock().unwrap().retain(|h| !h.is_finished());
-                    writers.lock().unwrap().retain(|h| !h.is_finished());
-                    // Accept-side cap: the reap above keeps the live count
-                    // honest under churn. A capped client gets a single
-                    // parseable rejection line and EOF — it never reaches
-                    // the reader/writer threads or the queue.
-                    if readers.lock().unwrap().len() >= max_conns {
-                        obs::count!("svc.connections.capped");
-                        let mut stream = stream;
-                        let _ = writeln!(
-                            stream,
-                            "{}",
-                            handlers::conn_limit_response(shared.ctx.retry_after_ms)
-                        );
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        continue;
-                    }
-                    let (tx, rx) = mpsc::channel::<String>();
-                    let write_half = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let writer = std::thread::Builder::new()
-                        .name("dls-conn-writer".into())
-                        .spawn(move || writer_loop(write_half, rx))
-                        .expect("spawn writer");
-                    writers.lock().unwrap().push(writer);
-                    let shared2 = Arc::clone(&shared);
-                    let reader = std::thread::Builder::new()
-                        .name("dls-conn-reader".into())
-                        .spawn(move || reader_loop(&shared2, stream, tx))
-                        .expect("spawn reader");
-                    readers.lock().unwrap().push(reader);
-                }
-            })
-            .expect("spawn accept thread")
-    };
-
+    let front = front::spawn_accept(
+        listener,
+        Tier {
+            name: "dls",
+            connections: "svc.connections",
+            capped: "svc.connections.capped",
+            max_conns: config.max_conns.max(1),
+            retry_after_ms: config.retry_after_ms,
+        },
+        Arc::clone(&shared),
+        |s| &s.ctx.draining,
+        connection,
+    );
     Ok(ServerHandle {
         addr,
         shared,
-        accept: Some(accept),
-        pool: Some(pool),
-        readers,
-        writers,
+        front,
+        pool,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shutdown_gated_to_loopback_unless_overridden() {
-        assert!(shutdown_permitted(true, false));
-        assert!(shutdown_permitted(true, true));
-        assert!(shutdown_permitted(false, true));
-        assert!(!shutdown_permitted(false, false));
-    }
 }

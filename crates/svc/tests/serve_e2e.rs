@@ -1,13 +1,32 @@
 //! End-to-end tests over real loopback TCP: full protocol session,
 //! pipelined out-of-order completions, backpressure under a saturated
-//! queue, and the graceful-drain ledger `received == completed + rejected`.
+//! queue, the graceful-drain ledger `received == completed + rejected`,
+//! and the connection and line caps the shard shares with the router.
 
 use minijson::Value;
-use svc::{serve, Client, ServerConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
+use svc::{
+    serve, Client, Router, RouterConfig, RouterHandle, ServerConfig, ShardDirectory, MAX_CONNS,
+    MAX_LINE_BYTES,
+};
 use workloads::requests;
 
 fn status(v: &Value) -> &str {
     v.get("status").and_then(Value::as_str).unwrap_or("?")
+}
+
+/// A router over `directory` with the prober off, so nothing but the
+/// test's own lines reaches a shard.
+fn spawn_router(directory: Arc<ShardDirectory>) -> RouterHandle {
+    let config = RouterConfig {
+        health_interval: Duration::ZERO,
+        retry_after_ms: 9,
+        ..RouterConfig::default()
+    };
+    Router::spawn(directory, config).expect("bind router")
 }
 
 #[test]
@@ -352,6 +371,57 @@ fn saturated_queue_rejects_with_backpressure_and_drains_clean() {
     );
 }
 
+/// Fill the `cap` connections of `addr`, check that one more gets a single
+/// `connection-limit` line and EOF without disturbing the live sessions,
+/// then free a slot and return the live sessions with the one admitted
+/// into it last.
+fn check_connection_cap(addr: SocketAddr, cap: usize) -> Vec<Client> {
+    let mut live: Vec<Client> = (0..cap)
+        .map(|_| {
+            let mut c = Client::connect(addr).expect("connect");
+            assert_eq!(status(&c.call(r#"{"op":"health"}"#).unwrap()), "ok");
+            c
+        })
+        .collect();
+
+    // One more connection gets one parseable rejection line — without
+    // sending anything — then EOF.
+    let stream = TcpStream::connect(addr).expect("tcp connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set timeout");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read rejection line");
+    assert_eq!(
+        line,
+        "{\"status\":\"rejected\",\"reason\":\"connection-limit\",\"retry_after_ms\":9}\n"
+    );
+    assert_eq!(
+        reader.read_line(&mut line).expect("read eof"),
+        0,
+        "capped connection must be closed after the rejection line"
+    );
+
+    // The capped-out attempt must not have disturbed the live sessions.
+    for c in &mut live {
+        assert_eq!(status(&c.call(r#"{"op":"health"}"#).unwrap()), "ok");
+    }
+
+    // Dropping a client frees a slot; the reap runs on the next accept,
+    // so retry (with the hinted pause) until admitted.
+    live.pop();
+    let admitted = loop {
+        let mut c = Client::connect(addr).expect("tcp connect");
+        match c.call(r#"{"op":"health"}"#) {
+            Ok(v) if status(&v) == "ok" => break c,
+            _ => std::thread::sleep(Duration::from_millis(9)),
+        }
+    };
+    live.push(admitted);
+    live
+}
+
 #[test]
 fn connection_cap_rejects_with_retry_hint_and_recovers() {
     let handle = serve(ServerConfig {
@@ -361,59 +431,102 @@ fn connection_cap_rejects_with_retry_hint_and_recovers() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let addr = handle.addr();
-
-    // Two live clients fill the cap.
-    let mut a = Client::connect(addr).expect("connect");
-    let mut b = Client::connect(addr).expect("connect");
-    assert_eq!(status(&a.call(r#"{"op":"health"}"#).unwrap()), "ok");
-    assert_eq!(status(&b.call(r#"{"op":"health"}"#).unwrap()), "ok");
-
-    // A third connection gets one parseable rejection line — without
-    // sending anything — then EOF.
-    {
-        use std::io::BufRead;
-        let stream = std::net::TcpStream::connect(addr).expect("tcp connect");
-        let mut reader = std::io::BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read rejection line");
-        let v = Value::parse(line.trim()).expect("rejection must be valid JSON");
-        assert_eq!(status(&v), "rejected");
-        assert_eq!(
-            v.get("reason").unwrap().as_str(),
-            Some("connection-limit"),
-            "cap rejections must cite the connection limit"
-        );
-        assert_eq!(v.get("retry_after_ms").unwrap().as_u64(), Some(9));
-        let mut rest = String::new();
-        assert_eq!(
-            reader.read_line(&mut rest).expect("read eof"),
-            0,
-            "capped connection must be closed after the rejection line"
-        );
-    }
-
-    // The capped-out attempt must not have disturbed the live sessions.
-    assert_eq!(status(&a.call(r#"{"op":"health"}"#).unwrap()), "ok");
-    assert_eq!(status(&b.call(r#"{"op":"health"}"#).unwrap()), "ok");
-
-    // Dropping a client frees a slot; the reap runs on the next accept,
-    // so retry (with the hinted pause) until admitted.
-    drop(b);
-    let mut c = loop {
-        let mut c = Client::connect(addr).expect("tcp connect");
-        match c.call(r#"{"op":"health"}"#) {
-            Ok(v) if status(&v) == "ok" => break c,
-            _ => std::thread::sleep(std::time::Duration::from_millis(9)),
-        }
-    };
-
+    let mut live = check_connection_cap(handle.addr(), 2);
     // The recovered slot is a full session, and the drain ledger holds.
     let line = requests::solve_line(1, 1.0, &[0.2, 0.1], &[2.0, 0.5]);
-    assert_eq!(status(&c.call(&line).unwrap()), "ok");
+    assert_eq!(status(&live[1].call(&line).unwrap()), "ok");
     handle.shutdown();
-    drop(a);
-    drop(c);
+    drop(live);
     let snapshot = handle.join();
     assert!(snapshot.conserved(), "drain lost requests: {snapshot:?}");
+
+    // The router accepts through the same code, at the shared cap.
+    let router = spawn_router(ShardDirectory::new(1));
+    let mut live = check_connection_cap(router.addr(), MAX_CONNS);
+    assert_eq!(
+        status(&live[MAX_CONNS - 1].call(r#"{"op":"stats"}"#).unwrap()),
+        "ok"
+    );
+    router.shutdown();
+    drop(live);
+    router.join();
+}
+
+/// Send a `health` request padded to one byte over [`MAX_LINE_BYTES`],
+/// newline-terminated or left open, and return the lines that come back
+/// and whether the connection was then closed. A tier that waits for more
+/// bytes instead leaves the read to time out, which reads as not closed.
+fn send_over_long(addr: SocketAddr, terminated: bool) -> (Vec<String>, bool) {
+    let head = r#"{"op":"health","pad":""#;
+    let tail = r#""}"#;
+    let pad = "x".repeat(MAX_LINE_BYTES + 1 - head.len() - tail.len());
+    let mut line = format!("{head}{pad}{tail}");
+    if terminated {
+        line.push('\n');
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set timeout");
+    // The tier stops reading one byte past the cap and closes, so the
+    // tail of a terminated line may never be accepted.
+    let _ = stream.write_all(line.as_bytes());
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    loop {
+        let mut reply = String::new();
+        match reader.read_line(&mut reply) {
+            Ok(0) => return (lines, true),
+            Ok(_) => lines.push(reply.trim().to_string()),
+            // Closing with the unread tail pending resets the connection.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return (lines, true),
+            Err(_) => return (lines, false),
+        }
+    }
+}
+
+#[test]
+fn both_tiers_answer_an_over_long_line_once_then_close() {
+    let shard = serve(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start shard");
+    let directory = ShardDirectory::new(1);
+    directory.set_addr(0, shard.addr());
+    let router = spawn_router(directory);
+
+    let error =
+        format!(r#"{{"status":"error","error":"request line exceeds {MAX_LINE_BYTES} bytes"}}"#);
+    let line = requests::solve_line(1, 1.0, &[0.2], &[2.0]);
+    for addr in [shard.addr(), router.addr()] {
+        for terminated in [true, false] {
+            let (lines, closed) = send_over_long(addr, terminated);
+            assert_eq!(
+                lines,
+                vec![error.clone()],
+                "{addr}, terminated: {terminated}"
+            );
+            assert!(
+                closed,
+                "{addr} left the connection open after an over-long line"
+            );
+        }
+        // A fresh connection is served as usual.
+        let mut c = Client::connect(addr).expect("connect");
+        assert_eq!(status(&c.call(&line).unwrap()), "ok");
+    }
+
+    router.shutdown();
+    let stats = router.join();
+    assert_eq!(stats.received, 3, "both over-long lines count as received");
+    assert_eq!(
+        stats.forward_attempts, 1,
+        "over-long lines are never forwarded"
+    );
+    shard.shutdown();
+    // Each over-long line is one received request and one error.
+    let snapshot = shard.join();
+    assert!(snapshot.conserved(), "drain lost requests: {snapshot:?}");
+    assert_eq!((snapshot.received, snapshot.errors), (4, 2));
 }

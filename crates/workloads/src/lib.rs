@@ -28,6 +28,6 @@ pub use fault_cases::{
 };
 pub use generators::{chain, chains, star, tree, ChainConfig, ChainShape};
 pub use ordergrid::{misreport_factors, order_search_grid};
-pub use requests::{ft_line, request_lines, solve_line, RequestMixConfig};
+pub use requests::{ft_line, solve_line, RequestMixConfig};
 pub use scenarios::{DeviationSpec, NetworkSpec, ResolvedNetwork, ScenarioSpec};
 pub use sweep::{chain_population, geomspace, linspace, mechanism_parts, MechanismParts};

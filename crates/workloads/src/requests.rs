@@ -1,10 +1,9 @@
 //! Request-mix generators for the serving layer (`dls-serve`).
 //!
 //! Produces deterministic streams of NDJSON request lines in the `svc`
-//! wire format: a configurable blend of `solve` and `ft_run` ops over a
-//! pool of distinct chains. The pool size controls the solver-cache hit
-//! rate a closed-loop run converges to (`1 − distinct/total` for the
-//! solve stream), which is exactly the knob experiment E23 sweeps.
+//! wire format over a pool of distinct chains. The pool size controls the
+//! solver-cache hit rate a run converges to (`1 − distinct/total` for the
+//! solve stream).
 
 use crate::generators::{chain, ChainConfig};
 use dlt::model::LinearNetwork;
@@ -21,8 +20,6 @@ pub struct RequestMixConfig {
     pub distinct_chains: usize,
     /// Processors per chain (root + `m − 1` strategic when `m ≥ 2`).
     pub processors: usize,
-    /// Fraction of requests that are `ft_run` (the rest are `solve`).
-    pub ft_fraction: f64,
     /// RNG seed (chain pool and op interleaving).
     pub seed: u64,
 }
@@ -33,7 +30,6 @@ impl Default for RequestMixConfig {
             total: 10_000,
             distinct_chains: 64,
             processors: 6,
-            ft_fraction: 0.0,
             seed: 0xE23,
         }
     }
@@ -206,7 +202,6 @@ pub fn job_chain_pool(cfg: &JobMixConfig) -> Vec<LinearNetwork> {
         total: cfg.total,
         distinct_chains: cfg.distinct_chains,
         processors: cfg.processors,
-        ft_fraction: 0.0,
         seed: cfg.seed,
     })
 }
@@ -244,85 +239,9 @@ pub fn job_lines_indexed(cfg: &JobMixConfig) -> Vec<(String, usize)> {
         .collect()
 }
 
-/// Generate the request stream: `total` lines with ids `0 .. total`,
-/// drawing chains round-robin-with-jitter from the pool. Returns the
-/// lines plus the `(solve, ft_run)` op counts.
-pub fn request_lines(cfg: &RequestMixConfig) -> (Vec<String>, usize, usize) {
-    let pool = chain_pool(cfg);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E3779B97F4A7C15);
-    let mut solves = 0usize;
-    let mut fts = 0usize;
-    let lines = (0..cfg.total)
-        .map(|i| {
-            let net = &pool[rng.gen_range(0..pool.len())];
-            let root = net.w(0);
-            let rates: Vec<f64> = (1..net.len()).map(|j| net.w(j)).collect();
-            let links = net.rates_z();
-            if rng.gen_range(0.0..1.0) < cfg.ft_fraction {
-                fts += 1;
-                let m = rates.len();
-                let crash = (m >= 2).then(|| {
-                    (
-                        rng.gen_range(1..=m),
-                        rng.gen_range(1..=4) as u8,
-                        rng.gen_range(0.1..0.9),
-                    )
-                });
-                ft_line(i as i64, root, &rates, &links, cfg.seed ^ i as u64, crash)
-            } else {
-                solves += 1;
-                solve_line(i as i64, root, &links, &rates)
-            }
-        })
-        .collect();
-    (lines, solves, fts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streams_are_deterministic_in_the_seed() {
-        let cfg = RequestMixConfig {
-            total: 200,
-            distinct_chains: 8,
-            ft_fraction: 0.25,
-            ..RequestMixConfig::default()
-        };
-        let (a, solves_a, fts_a) = request_lines(&cfg);
-        let (b, solves_b, fts_b) = request_lines(&cfg);
-        assert_eq!(a, b);
-        assert_eq!((solves_a, fts_a), (solves_b, fts_b));
-        assert_eq!(solves_a + fts_a, 200);
-        assert!(fts_a > 20, "ft share too small: {fts_a}");
-    }
-
-    #[test]
-    fn lines_are_valid_wire_requests() {
-        let cfg = RequestMixConfig {
-            total: 50,
-            distinct_chains: 4,
-            ft_fraction: 0.3,
-            ..RequestMixConfig::default()
-        };
-        let (lines, _, _) = request_lines(&cfg);
-        for line in &lines {
-            let v = Value::parse(line).unwrap();
-            let op = v.get("op").unwrap().as_str().unwrap();
-            assert!(op == "solve" || op == "ft_run");
-            assert!(v.get("id").unwrap().as_i64().is_some());
-            let key = if op == "solve" { "bids" } else { "rates" };
-            let rates = v.get(key).unwrap().as_array().unwrap();
-            assert_eq!(
-                rates.len(),
-                v.get("links").unwrap().as_array().unwrap().len()
-            );
-            for r in rates {
-                assert!(r.as_f64().unwrap() > 0.0);
-            }
-        }
-    }
 
     #[test]
     fn indexed_solve_lines_point_back_into_the_pool() {
@@ -394,29 +313,5 @@ mod tests {
         assert_eq!(v.get("op").unwrap().as_str(), Some("job_status"));
         assert_eq!(v.get("job_id").unwrap().as_u64(), Some(17));
         assert_eq!(v.get("bids").unwrap().as_array().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn distinct_chain_pool_bounds_the_working_set() {
-        let cfg = RequestMixConfig {
-            total: 500,
-            distinct_chains: 3,
-            ft_fraction: 0.0,
-            ..RequestMixConfig::default()
-        };
-        let (lines, ..) = request_lines(&cfg);
-        let unique: std::collections::HashSet<String> = lines
-            .iter()
-            .map(|l| {
-                let v = Value::parse(l).unwrap();
-                format!(
-                    "{}{}",
-                    v.get("bids").unwrap().to_json(),
-                    v.get("links").unwrap().to_json()
-                )
-            })
-            .collect();
-        assert!(unique.len() <= 3, "working set leaked: {}", unique.len());
-        assert!(!unique.is_empty());
     }
 }
