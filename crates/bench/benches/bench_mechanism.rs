@@ -1,10 +1,13 @@
 //! Mechanism-layer benchmarks: settlement cost per round, per-agent
-//! payment computation, and the full strategyproofness sweep used by E4.
+//! payment computation, one agent's bid sweep (whole-profile settlement
+//! against one `DlsLbl::deviation`), the full strategyproofness sweep used
+//! by E4, and tree settlement on the shape grid of the `settle-sweep`
+//! benchmark workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mechanism::payment::{self, PaymentInputs};
 use mechanism::verify::{default_factor_grid, strategyproofness_report};
-use mechanism::{Agent, Conduct, DlsLbl};
+use mechanism::{Agent, Conduct, DlsLbl, TreeMechanism};
 use std::hint::black_box;
 use workloads::ChainConfig;
 
@@ -60,5 +63,68 @@ fn sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, settle, single_payment, sweep);
+/// One agent's sweep over the 45-bid factor grid, the others truthful:
+/// settling every profile whole (`settle/m`) against one deviation
+/// settler that solves the others' suffix once (`deviation/m`). The agent
+/// is the middle one, so the deviation's O(j) walk has average length.
+fn one_agent_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("one_agent_sweep");
+    let grid = default_factor_grid();
+    for &m in &[4usize, 16, 64, 256] {
+        let (mech, agents) = setup(m);
+        let truthful: Vec<Conduct> = agents.iter().map(|&a| Conduct::truthful(a)).collect();
+        let j = m / 2;
+        let bid = |f: f64| Conduct::misreport(agents[j - 1], f);
+        group.throughput(Throughput::Elements(grid.len() as u64));
+        group.bench_with_input(BenchmarkId::new("settle", m), &truthful, |b, others| {
+            b.iter(|| {
+                grid.iter()
+                    .map(|&f| {
+                        let mut profile = others.to_vec();
+                        profile[j - 1] = bid(f);
+                        mech.settle(&profile, false).utility(j)
+                    })
+                    .sum::<f64>()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("deviation", m), &truthful, |b, others| {
+            b.iter(|| {
+                let mut deviation = mech.deviation(others, j);
+                grid.iter()
+                    .map(|&f| deviation.settle(bid(f), false).breakdown.utility)
+                    .sum::<f64>()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// `TreeMechanism::settle` of the truthful profile on each shape of the
+/// grid the `settle-sweep` workload draws its trees from.
+fn tree_settle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tree_settle");
+    for case in workloads::tree_shape_grid(0x7EE) {
+        let mech = TreeMechanism::new(case.shape);
+        let conducts: Vec<Conduct> = case
+            .true_rates
+            .iter()
+            .map(|&w| Conduct::truthful(Agent::new(w)))
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(&case.label),
+            &conducts,
+            |b, c| b.iter(|| black_box(mech.settle(c))),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    settle,
+    single_payment,
+    one_agent_sweep,
+    sweep,
+    tree_settle
+);
 criterion_main!(benches);

@@ -44,6 +44,10 @@ use svc::{
 };
 use workloads::requests::{self, RequestMixConfig};
 
+/// How long the `kill` plan waits, after its clients finish, for the
+/// supervisor's monitor sweep (every 50 ms) to restart the killed shard.
+const RESTART_WAIT: Duration = Duration::from_secs(5);
+
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
@@ -250,6 +254,14 @@ fn run_plan(
     let chaos_events = chaos.resets + chaos.delays + chaos.partial_writes + chaos.corruptions;
     let rstats = router.stats();
     proxy.stop();
+    if plan.kill {
+        // The clients can finish before the supervisor's monitor sweep has
+        // restarted the killed shard: give the sweep a bounded wait.
+        let deadline = Instant::now() + RESTART_WAIT;
+        while sup.restarts() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
     router.shutdown();
     router.join();
     let restarts = sup.restarts();

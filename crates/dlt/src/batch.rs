@@ -34,7 +34,7 @@
 //! once. `mechanism::payment` uses it to settle a whole bid profile in O(m)
 //! instead of the former O(m²) per-agent `solve_suffix` loop.
 
-use crate::linear::LinearSolution;
+use crate::linear::{self, LinearSolution};
 use crate::model::{LinearNetwork, LocalAllocation};
 use std::cell::RefCell;
 
@@ -396,13 +396,11 @@ pub fn solve_all_suffixes(net: &LinearNetwork) -> SuffixSolutions {
     out.eq_time[m] = net.w(m);
     for i in (0..m).rev() {
         // Solve-style recursion (α̂ then w̄ = α̂·w) — reference::solve.
-        let tail = out.w_bar[i + 1] + net.z(i + 1);
-        out.alpha_hat[i] = tail / (net.w(i) + tail);
-        out.w_bar[i] = out.alpha_hat[i] * net.w(i);
+        (out.alpha_hat[i], out.w_bar[i]) =
+            linear::reduce_pair(net.w(i), net.z(i + 1), out.w_bar[i + 1]);
         // equivalent_time-style recursion (w·t/(w+t)) — a different FP
         // order, pinned to reference::equivalent_time.
-        let et_tail = out.eq_time[i + 1] + net.z(i + 1);
-        out.eq_time[i] = net.w(i) * et_tail / (net.w(i) + et_tail);
+        out.eq_time[i] = linear::reduce_pair_equivalent(net.w(i), net.z(i + 1), out.eq_time[i + 1]);
     }
     out
 }

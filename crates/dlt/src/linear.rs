@@ -53,9 +53,7 @@ pub fn solve(net: &LinearNetwork) -> LinearSolution {
     alpha_hat[m] = 1.0;
     w_bar[m] = net.w(m);
     for i in (0..m).rev() {
-        let tail = w_bar[i + 1] + net.z(i + 1);
-        alpha_hat[i] = tail / (net.w(i) + tail); // eq. 2.7
-        w_bar[i] = alpha_hat[i] * net.w(i); // eq. 2.4
+        (alpha_hat[i], w_bar[i]) = reduce_pair(net.w(i), net.z(i + 1), w_bar[i + 1]);
     }
     let local = LocalAllocation::new(alpha_hat);
     let alloc = local.to_global();
@@ -75,8 +73,7 @@ pub fn equivalent_time(net: &LinearNetwork) -> f64 {
     let m = net.last_index();
     let mut w_bar = net.w(m);
     for i in (0..m).rev() {
-        let tail = w_bar + net.z(i + 1);
-        w_bar = net.w(i) * tail / (net.w(i) + tail);
+        w_bar = reduce_pair_equivalent(net.w(i), net.z(i + 1), w_bar);
     }
     w_bar
 }
@@ -85,12 +82,22 @@ pub fn equivalent_time(net: &LinearNetwork) -> f64 {
 /// rate `w` whose successor segment has equivalent rate `w_next` behind a
 /// link of rate `z` into a single equivalent processor. Returns
 /// `(α̂, w̄)` where `α̂` is the local fraction retained by the front
-/// processor and `w̄` the resulting equivalent rate.
+/// processor (eq. 2.7) and `w̄ = α̂·w` the resulting equivalent rate
+/// (eq. 2.4) — the step [`solve`] takes.
 #[inline]
 pub fn reduce_pair(w: f64, z: f64, w_next: f64) -> (f64, f64) {
     let tail = w_next + z;
     let alpha_hat = tail / (w + tail);
     (alpha_hat, alpha_hat * w)
+}
+
+/// [`reduce_pair`]'s `w̄` in [`equivalent_time`]'s operation order,
+/// `w·t/(w+t)` with `t = w_next + z`. The two orders round differently,
+/// and each is a bit-identity target of its own.
+#[inline]
+pub fn reduce_pair_equivalent(w: f64, z: f64, w_next: f64) -> f64 {
+    let tail = w_next + z;
+    w * tail / (w + tail)
 }
 
 /// The surviving chain after processor `dead` crash-stops: `P_dead` is

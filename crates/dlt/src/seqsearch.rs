@@ -22,10 +22,11 @@
 //!   byte-for-byte.
 //!
 //! Every candidate order is evaluated through the real machinery — the
-//! order is applied to the tree ([`apply_order`]) and the reordered tree
-//! is solved by [`crate::tree`]'s equal-finish reduction (which on a
-//! degenerate path is exactly [`crate::linear`]'s solution) — so
-//! makespans are the true fixed-order equal-finish optima, not proxies.
+//! tree is flattened once ([`crate::tree::FlatTree`]), each order becomes
+//! a child-index view of it, and [`crate::tree`]'s equal-finish bottom-up
+//! pass solves that view (on a degenerate path this is exactly
+//! [`crate::linear`]'s solution) — so makespans are the true fixed-order
+//! equal-finish optima, not proxies, and no candidate rebuilds the tree.
 //!
 //! The classical sequencing result (serve faster links first) predicts
 //! the canonical order is globally optimal in this model: the oracle lets
@@ -36,7 +37,7 @@
 //! bid-dependent ones — see E29 and DESIGN.md §15).
 
 use crate::model::TreeNode;
-use crate::tree;
+use crate::tree::{FlatSolution, FlatTree};
 use std::fmt;
 
 /// A full service order for a tree: one permutation of child positions per
@@ -107,7 +108,8 @@ pub fn canonical_order(root: &TreeNode) -> TreeOrder {
 
 /// Rebuild `root` with every node's children re-arranged per `order`.
 /// Preorder indices in `order` refer to `root`'s preorder, not the
-/// output's.
+/// output's. The searchers evaluate orders without rebuilding; this is
+/// the reference their child-index view is pinned against.
 pub fn apply_order(root: &TreeNode, order: &TreeOrder) -> TreeNode {
     fn walk(node: &TreeNode, order: &TreeOrder, next: &mut usize) -> TreeNode {
         let id = *next;
@@ -139,42 +141,35 @@ pub fn apply_order(root: &TreeNode, order: &TreeOrder) -> TreeNode {
     out
 }
 
-/// [`apply_order`] plus the preorder renumbering it induces:
-/// `map[old] = new` maps `root`'s preorder indices to the reordered
-/// tree's. The root always maps to itself.
-pub fn apply_order_mapped(root: &TreeNode, order: &TreeOrder) -> (TreeNode, Vec<usize>) {
-    // Walk the input tree in service order: nodes are met in the reordered
-    // tree's preorder. A child's input preorder index follows its parent's
-    // and its earlier siblings' subtrees.
-    fn renumber(
-        node: &TreeNode,
-        old: usize,
-        order: &TreeOrder,
-        next: &mut usize,
-        map: &mut [usize],
-    ) {
-        map[old] = *next;
-        *next += 1;
-        let mut first = Vec::with_capacity(node.children.len());
-        let mut at = old + 1;
-        for (_, c) in &node.children {
-            first.push(at);
-            at += c.size();
-        }
-        for &k in &order.perms[old] {
-            renumber(&node.children[k].1, first[k], order, next, map);
-        }
-    }
-    let ordered = apply_order(root, order);
-    let mut map = vec![0; order.perms.len()];
-    renumber(root, 0, order, &mut 0, &mut map);
-    (ordered, map)
+/// Equal-finish makespan of `root` when served per `order`, through the
+/// real tree solver's bottom-up pass over a child-index view of the
+/// flattened tree. Bit-identical to `tree::makespan(&apply_order(root,
+/// order))`, without rebuilding the tree.
+pub fn order_makespan(root: &TreeNode, order: &TreeOrder) -> f64 {
+    Evaluator::new(root).makespan(order)
 }
 
-/// Equal-finish makespan of `root` when served per `order`, through the
-/// real tree solver.
-pub fn order_makespan(root: &TreeNode, order: &TreeOrder) -> f64 {
-    tree::makespan(&apply_order(root, order))
+/// Evaluates service orders of one tree: the tree is flattened once, and
+/// each order becomes a child-index view ([`FlatTree::permuted_order`])
+/// for the bottom-up pass.
+struct Evaluator {
+    flat: FlatTree,
+    sol: FlatSolution,
+}
+
+impl Evaluator {
+    fn new(root: &TreeNode) -> Self {
+        Self {
+            flat: FlatTree::new(root),
+            sol: FlatSolution::default(),
+        }
+    }
+
+    fn makespan(&mut self, order: &TreeOrder) -> f64 {
+        let view = self.flat.permuted_order(&order.perms);
+        self.flat.reduce_into(&self.flat.rate, &view, &mut self.sol);
+        self.sol.equivalent[0]
+    }
 }
 
 /// Number of orderable nodes: children whose service position is a real
@@ -285,8 +280,9 @@ pub fn exhaustive_search(root: &TreeNode, budget: u64) -> Result<SearchOutcome, 
             order.perms[id].swap(pos, i);
         }
     }
-    enum_nodes(root, &nodes, 0, &mut order, &mut |root, order| {
-        let ms = order_makespan(root, order);
+    let mut eval = Evaluator::new(root);
+    enum_nodes(root, &nodes, 0, &mut order, &mut |_, order| {
+        let ms = eval.makespan(order);
         evaluated += 1;
         if best.as_ref().is_none_or(|(_, b)| ms < *b) {
             best = Some((order.clone(), ms));
@@ -367,8 +363,9 @@ fn shuffled_order(root: &TreeNode, state: &mut u64) -> TreeOrder {
 /// random orders. Restart 0 descends from the canonical ascending-link
 /// order, so `best_makespan ≤ canonical_makespan` holds unconditionally.
 pub fn local_search(root: &TreeNode, cfg: &LocalSearchConfig) -> LocalSearchOutcome {
+    let mut eval = Evaluator::new(root);
     let canonical = canonical_order(root);
-    let canonical_makespan = order_makespan(root, &canonical);
+    let canonical_makespan = eval.makespan(&canonical);
     let mut evaluated = 1u64;
     let mut steps = 0u64;
     let mut best_order = canonical.clone();
@@ -384,12 +381,12 @@ pub fn local_search(root: &TreeNode, cfg: &LocalSearchConfig) -> LocalSearchOutc
             canonical_makespan
         } else {
             evaluated += 1;
-            order_makespan(root, &cur)
+            eval.makespan(&cur)
         };
         for _ in 0..cfg.max_steps {
             let mut improved: Option<(TreeOrder, f64)> = None;
-            let mut consider = |cand: TreeOrder, root: &TreeNode, evaluated: &mut u64| {
-                let ms = order_makespan(root, &cand);
+            let mut consider = |cand: TreeOrder, evaluated: &mut u64| {
+                let ms = eval.makespan(&cand);
                 *evaluated += 1;
                 if ms < cur_ms && improved.as_ref().is_none_or(|(_, b)| ms < *b) {
                     improved = Some((cand, ms));
@@ -404,14 +401,14 @@ pub fn local_search(root: &TreeNode, cfg: &LocalSearchConfig) -> LocalSearchOutc
                 for k in 0..f - 1 {
                     let mut cand = cur.clone();
                     cand.perms[i].swap(k, k + 1);
-                    consider(cand, root, &mut evaluated);
+                    consider(cand, &mut evaluated);
                 }
                 // Subtree reorder: reset node i's permutation to its
                 // canonical ascending-link order in one move.
                 if cur.perms[i] != canonical.perms[i] {
                     let mut cand = cur.clone();
                     cand.perms[i] = canonical.perms[i].clone();
-                    consider(cand, root, &mut evaluated);
+                    consider(cand, &mut evaluated);
                 }
             }
             match improved {
@@ -441,7 +438,7 @@ pub fn local_search(root: &TreeNode, cfg: &LocalSearchConfig) -> LocalSearchOutc
 mod tests {
     use super::*;
     use crate::model::{LinearNetwork, StarNetwork};
-    use crate::{linear, star};
+    use crate::{linear, star, tree};
 
     fn branchy() -> TreeNode {
         TreeNode::internal(
@@ -503,19 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_order_mapped_tracks_preorder_renumbering() {
-        let t = branchy();
-        // Preorder: 0 root, 1 internal, 2 leaf(2.0), 3 leaf(0.8),
-        // 4 leaf(2.5), 5 leaf(1.4).
-        let order = canonical_order(&t);
-        let (ordered, map) = apply_order_mapped(&t, &order);
-        assert_eq!(ordered, apply_order(&t, &order));
-        // Service order at root: leaf(2.5), leaf(1.4), internal subtree;
-        // inside the subtree: leaf(0.8) before leaf(2.0).
-        assert_eq!(map, vec![0, 3, 5, 4, 1, 2]);
-    }
-
-    #[test]
     fn chains_have_a_trivial_order_space() {
         let net = LinearNetwork::from_rates(&[1.0, 2.0, 0.5, 4.0], &[0.2, 0.1, 0.7]);
         let t = TreeNode::from_chain(&net);
@@ -565,6 +549,23 @@ mod tests {
         let bus = TreeNode::from_star(&StarNetwork::bus(1.0, &[2.0, 2.0, 2.0], 0.3));
         let search = exhaustive_search(&bus, 6).unwrap();
         assert_eq!(search.worst_makespan, search.best_makespan);
+    }
+
+    #[test]
+    fn order_view_matches_solving_the_rebuilt_tree_bitwise() {
+        // Every order of `branchy`: the child-index view and the rebuilt
+        // tree are the same solve, bit for bit.
+        let t = branchy();
+        let mut orders = vec![identity_order(&t), canonical_order(&t)];
+        let mut state = 7;
+        orders.extend((0..16).map(|_| shuffled_order(&t, &mut state)));
+        for order in &orders {
+            assert_eq!(
+                order_makespan(&t, order).to_bits(),
+                tree::makespan(&apply_order(&t, order)).to_bits(),
+                "{order:?}"
+            );
+        }
     }
 
     #[test]

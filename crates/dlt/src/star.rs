@@ -29,22 +29,44 @@ pub struct StarSolution {
 
 /// Solve the star problem with every processor participating. Runs in O(m).
 pub fn solve(net: &StarNetwork) -> StarSolution {
-    let mut raw = Vec::with_capacity(net.len());
-    raw.push(1.0f64);
-    let mut prev_w = net.root().w;
-    for (link, child) in net.children() {
-        let ratio = prev_w / (link.z + child.w);
-        let prev = *raw.last().expect("non-empty");
-        raw.push(prev * ratio);
-        prev_w = child.w;
-    }
-    let total: f64 = raw.iter().sum();
-    let fractions: Vec<f64> = raw.iter().map(|r| r / total).collect();
-    let makespan = fractions[0] * net.root().w;
+    let mut fractions = vec![0.0; net.len()];
+    let makespan = solve_into(
+        net.root().w,
+        net.children().iter().map(|(link, child)| (link.z, child.w)),
+        &mut fractions,
+    );
     StarSolution {
         alloc: Allocation::new(fractions),
         makespan,
     }
+}
+
+/// The arithmetic of [`solve`], allocation-free: the equal-finish
+/// fractions of a star whose root has rate `root_w` and whose children,
+/// given as `(z_i, w_i)` in distribution order, are written into
+/// `fractions` (root first, so it holds one more entry than there are
+/// children). Returns the makespan. A childless star yields `[1.0]` and
+/// `root_w`. The tree solver's bottom-up pass runs every local star
+/// through here.
+pub fn solve_into(
+    root_w: f64,
+    children: impl IntoIterator<Item = (f64, f64)>,
+    fractions: &mut [f64],
+) -> f64 {
+    // Unnormalized shares from `α_i w_i = α_{i+1}(z_{i+1} + w_{i+1})`,
+    // anchored at the root's 1, summed in order, then normalized.
+    fractions[0] = 1.0;
+    let (mut raw, mut prev_w, mut total) = (1.0f64, root_w, 1.0f64);
+    for (k, (z, w)) in children.into_iter().enumerate() {
+        raw *= prev_w / (z + w);
+        fractions[k + 1] = raw;
+        total += raw;
+        prev_w = w;
+    }
+    for f in fractions.iter_mut() {
+        *f /= total;
+    }
+    fractions[0] * root_w
 }
 
 /// Finish times of every processor in the star under an arbitrary

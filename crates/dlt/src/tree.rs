@@ -9,8 +9,14 @@
 //! (their optimal unit-load makespan), and the load is then split top-down,
 //! scaling the local star fractions by the amount each branch receives —
 //! exact under the linear cost model.
+//!
+//! Both passes solve each local star exactly once, through
+//! [`star::solve_into`]. [`solve`] runs them over the nested [`TreeNode`];
+//! [`FlatTree`] runs them over preorder arrays under any service order
+//! (a child-index view), for callers that re-solve one shape many times:
+//! the tree mechanism's settlement and the order search.
 
-use crate::model::{Link, Processor, StarNetwork, TreeNode, EPSILON};
+use crate::model::{Link, Processor, TreeNode, EPSILON};
 use crate::star;
 
 /// Per-node solution of the tree problem, mirroring the input tree's shape.
@@ -72,23 +78,170 @@ pub fn canonicalize(node: &TreeNode) -> TreeNode {
     }
 }
 
+/// A tree flattened into preorder arrays: the layout of the solver's two
+/// passes. Node 0 is the root and every node precedes its descendants, so
+/// a reverse index sweep is bottom-up and a forward sweep is top-down,
+/// whatever order each node serves its children in.
+///
+/// A *service order* is a slice holding, for every node in turn, its
+/// children's node indices in the order it distributes to them;
+/// [`FlatTree::children`] reads one node's part.
+/// [`FlatTree::identity_order`] is the stored order;
+/// [`FlatTree::permuted_order`] applies one permutation per node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatTree {
+    /// Processor rate of each node, as stored in the source tree.
+    pub rate: Vec<f64>,
+    /// Rate of the link into each node from its parent (0 at the root).
+    pub link: Vec<f64>,
+    /// Parent of each node; the root is its own parent.
+    pub parent: Vec<usize>,
+    /// Node `i`'s stored children are `kids[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    kids: Vec<usize>,
+}
+
+/// The per-node result of [`FlatTree::solve_into`]. Reusable: solving
+/// into a warm `FlatSolution` allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FlatSolution {
+    /// Equivalent unit time of each node's subtree.
+    pub equivalent: Vec<f64>,
+    /// Load retained by each node's processor.
+    pub alpha: Vec<f64>,
+    /// Load handed to each node's subtree; the root receives 1.
+    pub received: Vec<f64>,
+    /// Every node's local star fractions, see [`FlatTree::star`].
+    fractions: Vec<f64>,
+}
+
+impl FlatTree {
+    /// Flatten `root` in preorder.
+    pub fn new(root: &TreeNode) -> Self {
+        // Preorder reserves each node's child slots before visiting its
+        // children, so `start` is the running sum of earlier fanouts.
+        fn walk(node: &TreeNode, parent: usize, z: f64, out: &mut FlatTree) {
+            let id = out.rate.len();
+            out.rate.push(node.processor.w);
+            out.link.push(z);
+            out.parent.push(parent);
+            let first = out.kids.len();
+            out.start.push(first);
+            out.kids.resize(first + node.children.len(), 0);
+            for (k, (link, child)) in node.children.iter().enumerate() {
+                out.kids[first + k] = out.rate.len();
+                walk(child, id, link.z, out);
+            }
+        }
+        let n = root.size();
+        let mut out = FlatTree {
+            rate: Vec::with_capacity(n),
+            link: Vec::with_capacity(n),
+            parent: Vec::with_capacity(n),
+            start: Vec::with_capacity(n + 1),
+            kids: Vec::with_capacity(n - 1),
+        };
+        walk(root, 0, 0.0, &mut out);
+        out.start.push(out.kids.len());
+        out
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.rate.len()
+    }
+
+    /// True for an empty tree (never: a tree has a root).
+    pub fn is_empty(&self) -> bool {
+        self.rate.is_empty()
+    }
+
+    /// Node `i`'s children under service order `order`.
+    #[inline]
+    pub fn children<'a>(&self, order: &'a [usize], i: usize) -> &'a [usize] {
+        &order[self.start[i]..self.start[i + 1]]
+    }
+
+    /// True if node `i` has no children.
+    #[inline]
+    pub fn is_leaf(&self, i: usize) -> bool {
+        self.start[i] == self.start[i + 1]
+    }
+
+    /// The stored service order.
+    pub fn identity_order(&self) -> Vec<usize> {
+        self.kids.clone()
+    }
+
+    /// The service order in which node `i` serves its `perms[i][k]`-th
+    /// stored child `k`-th (a `seqsearch::TreeOrder`'s layout).
+    pub fn permuted_order(&self, perms: &[Vec<usize>]) -> Vec<usize> {
+        assert_eq!(perms.len(), self.len(), "one permutation per node");
+        let mut order = Vec::with_capacity(self.kids.len());
+        for (i, perm) in perms.iter().enumerate() {
+            let kids = &self.kids[self.start[i]..self.start[i + 1]];
+            assert_eq!(perm.len(), kids.len(), "permutation {i} does not fit");
+            order.extend(perm.iter().map(|&k| kids[k]));
+        }
+        order
+    }
+
+    /// Re-sort every node's children in `order` by ascending `key[child]`
+    /// (stable for ties).
+    pub fn sort_children(&self, order: &mut [usize], key: &[f64]) {
+        for i in 0..self.len() {
+            order[self.start[i]..self.start[i + 1]].sort_by(|&a, &b| key[a].total_cmp(&key[b]));
+        }
+    }
+
+    /// Node `i`'s local star fractions in `sol`: its own share first, then
+    /// its children's in service order (a leaf's star is `[1.0]`).
+    #[inline]
+    pub fn star<'a>(&self, sol: &'a FlatSolution, i: usize) -> &'a [f64] {
+        &sol.fractions[i + self.start[i]..=i + self.start[i + 1]]
+    }
+
+    /// The bottom-up pass: every subtree's equivalent time and every local
+    /// star's fractions, each star solved once with [`star::solve_into`].
+    /// `rate` replaces the stored rates (the mechanism's bids).
+    pub fn reduce_into(&self, rate: &[f64], order: &[usize], sol: &mut FlatSolution) {
+        let n = self.len();
+        assert_eq!(rate.len(), n, "one rate per node");
+        sol.equivalent.resize(n, 0.0);
+        sol.fractions.resize(n + self.kids.len(), 0.0);
+        for i in (0..n).rev() {
+            let kids = self.children(order, i);
+            let span = i + self.start[i]..=i + self.start[i + 1];
+            let eq = &sol.equivalent;
+            let local = kids.iter().map(|&c| (self.link[c], eq[c]));
+            sol.equivalent[i] = star::solve_into(rate[i], local, &mut sol.fractions[span]);
+        }
+    }
+
+    /// Both passes: [`FlatTree::reduce_into`], then the top-down split of
+    /// the unit load from the root, scaling each local star's fractions by
+    /// the load its node receives.
+    pub fn solve_into(&self, rate: &[f64], order: &[usize], sol: &mut FlatSolution) {
+        self.reduce_into(rate, order, sol);
+        let n = self.len();
+        sol.alpha.resize(n, 0.0);
+        sol.received.resize(n, 0.0);
+        sol.received[0] = 1.0;
+        for i in 0..n {
+            let span = i + self.start[i];
+            let received = sol.received[i];
+            sol.alpha[i] = sol.fractions[span] * received;
+            for (k, &c) in self.children(order, i).iter().enumerate() {
+                sol.received[c] = sol.fractions[span + 1 + k] * received;
+            }
+        }
+    }
+}
+
 /// Compute the equivalent unit processing time of a subtree by bottom-up
 /// star reduction.
 pub fn equivalent_time(node: &TreeNode) -> f64 {
-    if node.children.is_empty() {
-        return node.processor.w;
-    }
-    let star = local_star(node);
-    star::equivalent_time(&star)
-}
-
-fn local_star(node: &TreeNode) -> StarNetwork {
-    let children = node
-        .children
-        .iter()
-        .map(|(link, child)| (Link::new(link.z), Processor::new(equivalent_time(child))))
-        .collect();
-    StarNetwork::new(node.processor, children)
+    reduce(node, &mut Vec::new()).equivalent
 }
 
 /// Solve the tree problem: optimal fractions for every processor when the
@@ -97,29 +250,51 @@ pub fn solve(root: &TreeNode) -> TreeSolution {
     distribute(root, 1.0)
 }
 
-/// Distribute `amount` units of load into the subtree rooted at `node`.
+/// Distribute `amount` units of load into the subtree rooted at `node`:
+/// one bottom-up pass solves every local star once, one top-down pass
+/// splits the load.
 pub fn distribute(node: &TreeNode, amount: f64) -> TreeSolution {
-    if node.children.is_empty() {
-        return TreeSolution {
-            alpha: amount,
-            received: amount,
-            equivalent: node.processor.w,
-            children: Vec::new(),
-        };
-    }
-    let star = local_star(node);
-    let local = star::solve(&star);
-    let children = node
+    let mut sol = reduce(node, &mut Vec::new());
+    spread(&mut sol, amount);
+    sol
+}
+
+/// The bottom-up pass: each subtree's equivalent time, with every local
+/// star solved once by [`star::solve_into`] (`fractions` is scratch).
+/// Until [`spread`] runs, `alpha` holds the node's own star fraction and
+/// `received` its share of its parent's load.
+fn reduce(node: &TreeNode, fractions: &mut Vec<f64>) -> TreeSolution {
+    let mut children: Vec<TreeSolution> = node
         .children
         .iter()
-        .enumerate()
-        .map(|(i, (_, child))| distribute(child, local.alloc.alpha(i + 1) * amount))
+        .map(|(_, child)| reduce(child, fractions))
         .collect();
+    fractions.resize(children.len() + 1, 0.0);
+    let local = node
+        .children
+        .iter()
+        .zip(&children)
+        .map(|((link, _), c)| (link.z, c.equivalent));
+    let equivalent = star::solve_into(node.processor.w, local, fractions);
+    for (c, &share) in children.iter_mut().zip(&fractions[1..]) {
+        c.received = share;
+    }
     TreeSolution {
-        alpha: local.alloc.alpha(0) * amount,
-        received: amount,
-        equivalent: local.makespan,
+        alpha: fractions[0],
+        received: 1.0,
+        equivalent,
         children,
+    }
+}
+
+/// The top-down pass: scale each star's fractions by the load its node
+/// receives.
+fn spread(sol: &mut TreeSolution, amount: f64) {
+    sol.alpha *= amount;
+    sol.received = amount;
+    for c in &mut sol.children {
+        let share = c.received;
+        spread(c, share * amount);
     }
 }
 
@@ -230,7 +405,7 @@ pub fn validate(sol: &TreeSolution) -> bool {
 mod tests {
     use super::*;
     use crate::linear;
-    use crate::model::LinearNetwork;
+    use crate::model::{LinearNetwork, StarNetwork};
 
     #[test]
     fn leaf_takes_everything() {

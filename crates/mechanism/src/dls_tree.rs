@@ -19,12 +19,27 @@
 //! star networks are depth-1 trees, so this module also covers the bus
 //! companion \[14\] in the paper's own verification style (in contrast to
 //! the Archer–Tardos realization in [`crate::archer_tardos`]).
+//!
+//! [`TreeMechanism::new`] flattens the canonical shape once into preorder
+//! arrays ([`dlt::tree::FlatTree`]), so a settlement never rebuilds a
+//! tree. [`TreeMechanism::settle`] makes five passes over those arrays:
+//!
+//! 1. the service order as a child-index view: the stored order for
+//!    [`OrderPolicy::Canonical`], the frozen permutations for
+//!    [`OrderPolicy::Frozen`], and for
+//!    [`OrderPolicy::BidFastestEquivalentFirst`] a sort by the subtree
+//!    equivalents of a bottom-up pass over the canonical view;
+//! 2. one bottom-up pass that solves each internal node's local star once;
+//! 3. one top-down pass that assigns the loads;
+//! 4. each agent's realized parent equivalent, from the parent's cached
+//!    star fractions;
+//! 5. each agent's payment breakdown.
 
 use crate::agent::{Agent, Conduct};
 use crate::payment::{self, PaymentInputs};
-use dlt::model::{Link, Processor, StarNetwork, TreeNode};
-use dlt::seqsearch::{self, TreeOrder};
-use dlt::{star, tree};
+use dlt::model::{Link, Processor, TreeNode};
+use dlt::seqsearch::TreeOrder;
+use dlt::tree::{FlatSolution, FlatTree};
 
 /// How the mechanism chooses each settlement's service order (the order in
 /// which every internal node distributes to its children).
@@ -63,6 +78,11 @@ pub struct TreeMechanism {
     shape: TreeNode,
     agents: usize,
     policy: OrderPolicy,
+    /// The canonical shape in preorder; agent `j` is node `j`.
+    flat: FlatTree,
+    /// The bid-independent service order of `Canonical` and `Frozen`
+    /// (empty for the bid-dependent policy).
+    order: Vec<usize>,
 }
 
 /// Per-agent outcome of a tree settlement.
@@ -107,23 +127,6 @@ impl TreeOutcome {
     }
 }
 
-/// Flattened per-node view used by the payment computation.
-struct NodeInfo {
-    parent: Option<usize>,
-    /// Bid rate at this node (root: trusted rate).
-    rate: f64,
-    /// Equivalent unit time of the subtree rooted here (bid-based).
-    equivalent: f64,
-    /// Assigned fraction of the unit load.
-    assigned: f64,
-    /// Local retained fraction `α̂` (assigned / received by the subtree).
-    alpha_hat: f64,
-    /// Is this node a leaf?
-    leaf: bool,
-    /// Children as `(link rate, child flat index)` in distribution order.
-    children: Vec<(f64, usize)>,
-}
-
 impl TreeMechanism {
     /// Create the mechanism from a shape. Non-root processor rates in
     /// `shape` are ignored (bids replace them); link rates and the root's
@@ -145,16 +148,26 @@ impl TreeMechanism {
         let shape = dlt::tree::canonicalize(&shape);
         let agents = shape.size() - 1;
         assert!(agents >= 1, "need at least one strategic node");
-        if let OrderPolicy::Frozen(order) = &policy {
-            assert!(
-                order.is_valid(&shape),
-                "frozen order does not fit the canonical shape's preorder"
-            );
-        }
+        let flat = FlatTree::new(&shape);
+        let order = match &policy {
+            // The shape is canonical, so its stored order *is* the
+            // canonical service order.
+            OrderPolicy::Canonical => flat.identity_order(),
+            OrderPolicy::Frozen(order) => {
+                assert!(
+                    order.is_valid(&shape),
+                    "frozen order does not fit the canonical shape's preorder"
+                );
+                flat.permuted_order(&order.perms)
+            }
+            OrderPolicy::BidFastestEquivalentFirst => Vec::new(),
+        };
         Self {
             shape,
             agents,
             policy,
+            flat,
+            order,
         }
     }
 
@@ -201,185 +214,45 @@ impl TreeMechanism {
         self.agents
     }
 
-    /// Instantiate the tree with the given bids (preorder over non-root
-    /// nodes).
-    fn with_bids(&self, bids: &[f64]) -> TreeNode {
-        assert_eq!(bids.len(), self.agents, "one bid per strategic node");
-        fn rebuild(node: &TreeNode, bids: &[f64], next: &mut usize, is_root: bool) -> TreeNode {
-            let rate = if is_root {
-                node.processor.w
-            } else {
-                let r = bids[*next];
-                *next += 1;
-                r
-            };
-            let children = node
-                .children
-                .iter()
-                .map(|(l, c)| (*l, rebuild(c, bids, next, false)))
-                .collect();
-            TreeNode {
-                processor: Processor::new(rate),
-                children,
-            }
-        }
-        let mut next = 0;
-        let out = rebuild(&self.shape, bids, &mut next, true);
-        assert_eq!(next, self.agents);
-        out
-    }
-
-    /// The service order the policy prescribes for this bid-instantiated
-    /// tree, expressed against the canonical shape's preorder.
-    fn service_order(&self, instantiated: &TreeNode) -> TreeOrder {
-        match &self.policy {
-            // The shape is canonical, so its stored order *is* the
-            // canonical service order.
-            OrderPolicy::Canonical => seqsearch::identity_order(instantiated),
-            OrderPolicy::Frozen(order) => order.clone(),
-            OrderPolicy::BidFastestEquivalentFirst => {
-                fn walk(node: &TreeNode, out: &mut Vec<Vec<usize>>) {
-                    let mut perm: Vec<usize> = (0..node.children.len()).collect();
-                    let equivalents: Vec<f64> = node
-                        .children
-                        .iter()
-                        .map(|(_, c)| tree::equivalent_time(c))
-                        .collect();
-                    perm.sort_by(|&a, &b| equivalents[a].total_cmp(&equivalents[b]));
-                    out.push(perm);
-                    for (_, c) in &node.children {
-                        walk(c, out);
-                    }
-                }
-                let mut perms = Vec::new();
-                walk(instantiated, &mut perms);
-                TreeOrder { perms }
-            }
-        }
-    }
-
-    /// Flatten the solved tree into per-node info, indexed by the
-    /// canonical shape's preorder (agent identity), with children listed
-    /// in the *service* order the policy produced.
-    fn analyze(&self, bids: &[f64]) -> (Vec<NodeInfo>, f64, f64) {
-        let instantiated = self.with_bids(bids);
-        let order = self.service_order(&instantiated);
-        let (ordered, map) = seqsearch::apply_order_mapped(&instantiated, &order);
-        let solution = tree::solve(&ordered);
-        let n = self.agents + 1;
-        let mut old_of_new = vec![0usize; n];
-        for (old, &new) in map.iter().enumerate() {
-            old_of_new[new] = old;
-        }
-        let mut infos: Vec<Option<NodeInfo>> = (0..n).map(|_| None).collect();
-        fn walk(
-            node: &TreeNode,
-            sol: &tree::TreeSolution,
-            parent: Option<usize>,
-            next_new: &mut usize,
-            old_of_new: &[usize],
-            infos: &mut [Option<NodeInfo>],
-        ) -> usize {
-            let new_id = *next_new;
-            *next_new += 1;
-            let old = old_of_new[new_id];
-            infos[old] = Some(NodeInfo {
-                parent,
-                rate: node.processor.w,
-                equivalent: sol.equivalent,
-                assigned: sol.alpha,
-                alpha_hat: if sol.received > 1e-300 {
-                    sol.alpha / sol.received
-                } else {
-                    1.0
-                },
-                leaf: node.children.is_empty(),
-                children: Vec::new(),
-            });
-            for ((link, child), csol) in node.children.iter().zip(&sol.children) {
-                let cold = walk(child, csol, Some(old), next_new, old_of_new, infos);
-                infos[old]
-                    .as_mut()
-                    .expect("parent info just inserted")
-                    .children
-                    .push((link.z, cold));
-            }
-            old
-        }
-        let mut next_new = 0;
-        walk(
-            &ordered,
-            &solution,
-            None,
-            &mut next_new,
-            &old_of_new,
-            &mut infos,
-        );
-        let infos = infos
-            .into_iter()
-            .map(|i| i.expect("every preorder node visited"))
-            .collect();
-        (infos, solution.equivalent, solution.alpha)
-    }
-
-    /// The tree analogue of eqs. 4.10–4.11: agent `j`'s adjusted subtree
-    /// equivalent given its metered rate.
-    fn adjusted_equivalent(info: &NodeInfo, actual_rate: f64) -> f64 {
-        if info.leaf {
-            actual_rate
-        } else if actual_rate >= info.rate {
-            info.alpha_hat * actual_rate
-        } else {
-            info.equivalent
-        }
-    }
-
-    /// The realized equivalent time of parent `p`'s local star when child
-    /// `j`'s branch is re-timed to `w_hat_j`, all split fractions fixed by
-    /// the bids.
-    fn realized_parent_equivalent(infos: &[NodeInfo], p: usize, j: usize, w_hat_j: f64) -> f64 {
-        let parent = &infos[p];
-        let star_net = StarNetwork::new(
-            Processor::new(parent.rate),
-            parent
-                .children
-                .iter()
-                .map(|&(z, c)| (Link::new(z), Processor::new(infos[c].equivalent)))
-                .collect(),
-        );
-        let local = star::solve(&star_net);
-        // Evaluate finish times with child j's rate swapped for ŵ_j.
-        let mut worst = local.alloc.alpha(0) * parent.rate;
-        let mut comm = 0.0;
-        for (i, &(z, c)) in parent.children.iter().enumerate() {
-            let a = local.alloc.alpha(i + 1);
-            comm += a * z;
-            let rate = if c == j { w_hat_j } else { infos[c].equivalent };
-            worst = worst.max(comm + a * rate);
-        }
-        worst
-    }
-
     /// Settle a round of conducts (preorder over non-root nodes).
     pub fn settle(&self, conducts: &[Conduct]) -> TreeOutcome {
-        assert_eq!(conducts.len(), self.agents);
-        let bids: Vec<f64> = conducts.iter().map(|c| c.bid).collect();
-        let (infos, makespan, root_load) = self.analyze(&bids);
+        assert_eq!(conducts.len(), self.agents, "one bid per strategic node");
+        let flat = &self.flat;
+        // Node rates: the root's trusted rate, then the bids.
+        let mut rate = Vec::with_capacity(flat.len());
+        rate.push(flat.rate[0]);
+        rate.extend(conducts.iter().map(|c| Processor::new(c.bid).w));
+        let mut sol = FlatSolution::default();
+        // Pass 1: the service order as a child-index view.
+        let bid_order;
+        let order = match self.policy {
+            OrderPolicy::BidFastestEquivalentFirst => {
+                // Serve each node's children in ascending order of their
+                // bid-instantiated equivalents over the canonical view
+                // (stable for ties).
+                let mut order = flat.identity_order();
+                flat.reduce_into(&rate, &order, &mut sol);
+                flat.sort_children(&mut order, &sol.equivalent);
+                bid_order = order;
+                &bid_order
+            }
+            _ => &self.order,
+        };
+        // Passes 2 and 3: every local star once, then the loads.
+        flat.solve_into(&rate, order, &mut sol);
+        // Passes 4 and 5: realized parent equivalents and payments.
         let agents = (1..=self.agents)
             .map(|j| {
-                let info = &infos[j];
                 let c = &conducts[j - 1];
-                let assigned = info.assigned;
+                let assigned = sol.alpha[j];
                 let actual_load = c.actual_load.unwrap_or(assigned);
                 let inputs = PaymentInputs {
                     assigned_load: assigned,
                     actual_load,
                     actual_rate: c.actual_rate,
                 };
-                let p = info.parent.expect("non-root");
-                let w_hat = Self::adjusted_equivalent(info, c.actual_rate);
-                let realized = Self::realized_parent_equivalent(&infos, p, j, w_hat);
-                let b = payment::breakdown(inputs, infos[p].rate - realized, 0.0);
+                let bonus = self.bonus(&rate, &sol, order, j, c.actual_rate);
+                let b = payment::breakdown(inputs, bonus, 0.0);
                 TreeAgentOutcome {
                     agent: j,
                     assigned,
@@ -392,9 +265,49 @@ impl TreeMechanism {
             .collect();
         TreeOutcome {
             agents,
-            root_load,
-            makespan,
+            root_load: sol.alpha[0],
+            makespan: sol.equivalent[0],
         }
+    }
+
+    /// Bonus `B_j = w_p − w̄_p(α(bids), actual)` of agent `j` with parent
+    /// `p`. `j`'s branch is re-timed by the tree analogue of eqs.
+    /// 4.10–4.11 (`ŵ_j = α̂_j w̃_j` when slower than bid, unchanged when
+    /// at least as fast, `w̃_j` at a leaf), and `p`'s local star is
+    /// re-timed under its cached fractions, so the split stays the bids'.
+    fn bonus(
+        &self,
+        rate: &[f64],
+        sol: &FlatSolution,
+        order: &[usize],
+        j: usize,
+        actual_rate: f64,
+    ) -> f64 {
+        let flat = &self.flat;
+        let w_hat = if flat.is_leaf(j) {
+            actual_rate
+        } else if actual_rate >= rate[j] {
+            // `α̂_j`: the share of its subtree's load `j` retains.
+            let alpha_hat = if sol.received[j] > 1e-300 {
+                sol.alpha[j] / sol.received[j]
+            } else {
+                1.0
+            };
+            alpha_hat * actual_rate
+        } else {
+            sol.equivalent[j]
+        };
+        // The parent's finish times with j's branch re-timed to ŵ_j.
+        let p = flat.parent[j];
+        let star = flat.star(sol, p);
+        let mut worst = star[0] * rate[p];
+        let mut comm = 0.0;
+        for (&c, &a) in flat.children(order, p).iter().zip(&star[1..]) {
+            comm += a * flat.link[c];
+            let branch = if c == j { w_hat } else { sol.equivalent[c] };
+            worst = worst.max(comm + a * branch);
+        }
+        rate[p] - worst
     }
 
     /// Truthful settlement.
@@ -562,7 +475,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one bid per strategic node")]
     fn rejects_wrong_bid_arity() {
-        binary_tree().with_bids(&[1.0, 2.0]);
+        binary_tree().settle(&[Conduct::truthful(Agent::new(1.0))]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod payment;
 pub mod verify;
 
 pub use agent::{Agent, Conduct};
-pub use dls_lbl::{AgentOutcome, DlsLbl, RoundOutcome};
+pub use dls_lbl::{AgentOutcome, Deviation, DlsLbl, RoundOutcome};
 pub use dls_tree::{OrderPolicy, TreeMechanism, TreeOutcome};
 pub use fines::FineSchedule;
 pub use payment::{JobLedger, PaymentBreakdown, PaymentInputs};

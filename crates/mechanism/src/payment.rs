@@ -125,36 +125,70 @@ pub fn bonus(bids: &LinearNetwork, j: usize, actual_rate: f64) -> f64 {
     bids.w(j - 1) - realized_predecessor_equivalent(bids, j, actual_rate)
 }
 
-/// Bonus `B_j` (eq. 4.9) from a precomputed suffix sweep of the bids:
-/// bit-identical to [`bonus`], which re-solves the suffix chains. The
-/// branch structure and FP operations mirror [`adjusted_equivalent`] and
-/// [`realized_predecessor_equivalent`]; `sfx.alpha_hat_front(j)` and
-/// `sfx.makespan(j)` are the `solve(&bids.suffix(j))` quantities, and
-/// `sfx.equivalent_time(j)` is `equivalent_time(&bids.suffix(j))` (a
-/// *different* FP operation order than `solve` — both recursions live in
-/// the sweep precisely so this stays bit-identical).
-fn bonus_from(sfx: &SuffixSolutions, bids: &LinearNetwork, j: usize, actual_rate: f64) -> f64 {
-    let m = bids.last_index();
-    assert!(
-        j >= 1 && j <= m,
-        "payments are defined for strategic processors 1..=m"
-    );
-    // eqs. 4.10–4.11: the adjusted equivalent ŵ_j.
-    let w_hat_j = if j == m {
-        actual_rate
-    } else if actual_rate >= bids.w(j) {
-        sfx.alpha_hat_front(j) * actual_rate
-    } else {
-        sfx.makespan(j)
-    };
-    // The realized predecessor equivalent, split fixed by the bids (eq. 2.7).
-    let w_pred = bids.w(j - 1);
-    let z_j = bids.z(j);
-    let tail = sfx.equivalent_time(j) + z_j;
-    let alpha_hat_pred = tail / (w_pred + tail);
-    let front = alpha_hat_pred * w_pred;
-    let back = (1.0 - alpha_hat_pred) * (z_j + w_hat_j);
-    w_pred - front.max(back)
+/// The bid-side quantities the eq. 4.9 bonus of one processor `P_j`
+/// reads: its neighbours' bids and the solved suffix `P_j … P_m`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BonusTerms {
+    /// `w_{j-1}`: the predecessor's bid (the root's rate at `j = 1`).
+    pub w_pred: f64,
+    /// `z_j`: the link into `P_j`.
+    pub z: f64,
+    /// `w_j`: `P_j`'s bid.
+    pub w: f64,
+    /// `α̂_j`: the suffix's front local fraction (solve order).
+    pub alpha_hat: f64,
+    /// `w̄_j`: the suffix's makespan (solve order).
+    pub w_bar: f64,
+    /// `w̄_j` in [`linear::equivalent_time`]'s operation order.
+    pub eq_time: f64,
+    /// `P_j` is the terminal processor (`j = m`).
+    pub terminal: bool,
+}
+
+impl BonusTerms {
+    /// The terms of `P_j` from a suffix sweep of the bid chain.
+    #[inline]
+    fn from_sweep(sfx: &SuffixSolutions, bids: &LinearNetwork, j: usize) -> Self {
+        let m = bids.last_index();
+        assert!(
+            j >= 1 && j <= m,
+            "payments are defined for strategic processors 1..=m"
+        );
+        Self {
+            w_pred: bids.w(j - 1),
+            z: bids.z(j),
+            w: bids.w(j),
+            alpha_hat: sfx.alpha_hat_front(j),
+            w_bar: sfx.makespan(j),
+            eq_time: sfx.equivalent_time(j),
+            terminal: j == m,
+        }
+    }
+
+    /// Bonus `B_j` (eq. 4.9) at metered rate `actual_rate`: the one home of
+    /// eqs. 4.9–4.11 for every settlement path. Bit-identical to [`bonus`],
+    /// which re-solves the suffix chains: the branches and FP operations
+    /// mirror [`adjusted_equivalent`] and
+    /// [`realized_predecessor_equivalent`], and `eq_time` is
+    /// `equivalent_time(&bids.suffix(j))`, a *different* operation order
+    /// than `w_bar`'s `solve`.
+    #[inline]
+    pub fn bonus(&self, actual_rate: f64) -> f64 {
+        // eqs. 4.10–4.11: the adjusted equivalent ŵ_j.
+        let w_hat_j = if self.terminal {
+            actual_rate
+        } else if actual_rate >= self.w {
+            self.alpha_hat * actual_rate
+        } else {
+            self.w_bar
+        };
+        // The realized predecessor equivalent, split fixed by the bids (eq. 2.7).
+        let tail = self.eq_time + self.z;
+        let alpha_hat_pred = tail / (self.w_pred + tail);
+        let front = alpha_hat_pred * self.w_pred;
+        let back = (1.0 - alpha_hat_pred) * (self.z + w_hat_j);
+        self.w_pred - front.max(back)
+    }
 }
 
 /// Assemble one processor's breakdown around its bonus `B_j`: valuation
@@ -198,6 +232,7 @@ pub(crate) fn breakdown(
 /// payment-parity suite in `mechanism/tests/payment_parity.rs`). Callers
 /// settling several agents of one bid profile should compute
 /// [`dlt::batch::solve_all_suffixes`] once and use this.
+#[inline]
 pub fn settle_with(
     sfx: &SuffixSolutions,
     bids: &LinearNetwork,
@@ -205,11 +240,8 @@ pub fn settle_with(
     inputs: PaymentInputs,
     solution_bonus: f64,
 ) -> PaymentBreakdown {
-    breakdown(
-        inputs,
-        bonus_from(sfx, bids, j, inputs.actual_rate),
-        solution_bonus,
-    )
+    let b = BonusTerms::from_sweep(sfx, bids, j).bonus(inputs.actual_rate);
+    breakdown(inputs, b, solution_bonus)
 }
 
 /// Settle every strategic processor of one bid profile in O(m) total: one
@@ -382,7 +414,7 @@ impl JobLedger {
         (1..=self.assigned.len())
             .map(|j| {
                 let inputs = self.aggregate(bids, j);
-                let b = bonus_from(&sfx, bids, j, inputs.actual_rate) * load;
+                let b = BonusTerms::from_sweep(&sfx, bids, j).bonus(inputs.actual_rate) * load;
                 breakdown(inputs, b, solution_bonus)
             })
             .collect()

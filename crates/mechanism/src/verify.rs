@@ -54,6 +54,11 @@ impl BidSweep {
 /// For each bid the agent executes at its best feasible rate: full capacity
 /// when the bid is at or above the true rate, and the (forced) true rate
 /// when it underbids — it cannot compute faster than its hardware.
+///
+/// Every point settles through one [`DlsLbl::deviation`]: the others'
+/// suffix is solved once, and each bid costs O(j) with no allocation. The
+/// utilities are bit-identical to settling each profile whole with
+/// [`DlsLbl::settle`].
 pub fn bid_sweep(
     mech: &DlsLbl,
     agents: &[Agent],
@@ -64,14 +69,14 @@ pub fn bid_sweep(
     assert!(j >= 1 && j <= agents.len());
     assert_eq!(others.len(), agents.len());
     let me = agents[j - 1];
-    let utility_at = |bid: f64| -> f64 {
-        let mut conducts = others.to_vec();
-        conducts[j - 1] = Conduct {
+    let mut deviation = mech.deviation(others, j);
+    let mut utility_at = |bid: f64| -> f64 {
+        let conduct = Conduct {
             bid,
             actual_rate: me.feasible_actual(bid.min(me.true_rate)),
             actual_load: None,
         };
-        mech.settle(&conducts, false).utility(j)
+        deviation.settle(conduct, false).breakdown.utility
     };
     let truthful_utility = utility_at(me.true_rate);
     let points = factors

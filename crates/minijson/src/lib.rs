@@ -6,6 +6,10 @@
 //! two deliberate simplifications: numbers are `f64` (adequate for rates,
 //! probabilities and seeds up to 2^53), and object key order is preserved
 //! as written (lookups are linear — spec files are tiny).
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays and objects, so the recursive
+//! descent cannot overflow the stack on hostile input: a deeper document
+//! fails with [`ParseErrorKind::TooDeep`].
 
 #![forbid(unsafe_code)]
 
@@ -28,11 +32,26 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.
+/// Every document this workspace writes nests at most 6 deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of parse failure a [`ParseError`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with byte offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
     /// Byte offset where the failure was detected.
     pub offset: usize,
+    /// What kind of failure this is.
+    pub kind: ParseErrorKind,
     /// Human-readable reason.
     pub message: String,
 }
@@ -55,6 +74,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -204,14 +224,36 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
+            kind: ParseErrorKind::Syntax,
             message: message.to_string(),
         }
+    }
+
+    /// Parse the array or object at the cursor one level deeper, or fail
+    /// with [`ParseErrorKind::TooDeep`] past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                offset: self.pos,
+                kind: ParseErrorKind::TooDeep,
+                message: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn peek(&self) -> Option<u8> {
@@ -244,8 +286,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -386,6 +428,7 @@ impl<'a> Parser<'a> {
             .map(Value::Number)
             .map_err(|_| ParseError {
                 offset: start,
+                kind: ParseErrorKind::Syntax,
                 message: format!("bad number {text:?}"),
             })
     }
@@ -464,6 +507,24 @@ mod tests {
         assert_eq!(Value::Number(7.5).as_i64(), None);
         assert_eq!(Value::Number(2f64.powi(54)).as_i64(), None);
         assert_eq!(Value::String("7".into()).as_i64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far too deep for the stack without the cap: rejected, not aborted.
+        let err = Value::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        let err = Value::parse(&r#"{"a":"#.repeat(100_000)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(
+            Value::parse("[1,").unwrap_err().kind,
+            ParseErrorKind::Syntax
+        );
     }
 
     #[test]
