@@ -45,7 +45,7 @@ fn main() {
             let interior_ms = interior::solve(&InteriorNetwork::new(net.clone(), n / 2)).makespan;
             // binary tree over a same-sized random inventory
             let t = workloads::tree(&cfg, 2, seed);
-            let tree_ms = tree::makespan(&t);
+            let tree_ms = tree::equivalent_time(&t);
             (chain_ms, star_ms, bus_ms, interior_ms, tree_ms)
         });
         let col = |f: fn(&(f64, f64, f64, f64, f64)) -> f64| -> Stats {
@@ -156,7 +156,7 @@ fn main() {
         7,
     );
     let chain_ms = linear::solve(&net).makespan();
-    let tree_ms = tree::makespan(&TreeNode::from_chain(&net));
+    let tree_ms = tree::equivalent_time(&TreeNode::from_chain(&net));
     assert!((chain_ms - tree_ms).abs() < 1e-10);
     println!(
         "degenerate-tree cross-check: |chain − tree| = {:.2e} ✓",

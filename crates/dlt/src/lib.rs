@@ -23,7 +23,9 @@
 //!   schedules (Figure 2).
 //! * [`star`], [`tree`], [`interior`] — companion architectures (bus/star
 //!   \[14\], tree \[9\], interior origination §6) for cross-architecture
-//!   experiments.
+//!   experiments. A tree has one layout, [`tree::FlatTree`]'s preorder
+//!   arrays, whose two passes are the one tree solver: `tree::solve`, the
+//!   tree mechanism, the order search and the tree protocol share them.
 //! * [`seqsearch`] — service-order search: budget-guarded exhaustive and
 //!   seeded local search over chain, star and tree order spaces (a star is
 //!   a depth-1 tree, [`TreeNode::from_star`]).

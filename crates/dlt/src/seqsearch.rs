@@ -143,8 +143,9 @@ pub fn apply_order(root: &TreeNode, order: &TreeOrder) -> TreeNode {
 
 /// Equal-finish makespan of `root` when served per `order`, through the
 /// real tree solver's bottom-up pass over a child-index view of the
-/// flattened tree. Bit-identical to `tree::makespan(&apply_order(root,
-/// order))`, without rebuilding the tree.
+/// flattened tree. Bit-identical to
+/// `tree::equivalent_time(&apply_order(root, order))`, without rebuilding
+/// the tree.
 pub fn order_makespan(root: &TreeNode, order: &TreeOrder) -> f64 {
     Evaluator::new(root).makespan(order)
 }
@@ -562,7 +563,7 @@ mod tests {
         for order in &orders {
             assert_eq!(
                 order_makespan(&t, order).to_bits(),
-                tree::makespan(&apply_order(&t, order)).to_bits(),
+                tree::equivalent_time(&apply_order(&t, order)).to_bits(),
                 "{order:?}"
             );
         }

@@ -10,49 +10,16 @@
 //! scaling the local star fractions by the amount each branch receives —
 //! exact under the linear cost model.
 //!
-//! Both passes solve each local star exactly once, through
-//! [`star::solve_into`]. [`solve`] runs them over the nested [`TreeNode`];
-//! [`FlatTree`] runs them over preorder arrays under any service order
-//! (a child-index view), for callers that re-solve one shape many times:
-//! the tree mechanism's settlement and the order search.
+//! The tree has one layout, [`FlatTree`]'s preorder arrays, and one solver,
+//! its two passes: the bottom-up pass solves each local star exactly once,
+//! through [`star::solve_into`], and the top-down pass splits the load.
+//! They run under any service order (a child-index view), so the tree
+//! mechanism's settlement, the order search and the protocol walk the same
+//! arrays; [`solve`] and [`equivalent_time`] run them over the stored
+//! order of a [`TreeNode`].
 
 use crate::model::{Link, Processor, TreeNode, EPSILON};
 use crate::star;
-
-/// Per-node solution of the tree problem, mirroring the input tree's shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeSolution {
-    /// Load fraction retained by this node's processor.
-    pub alpha: f64,
-    /// Total load handed to this node (its `D`); the root receives 1.
-    pub received: f64,
-    /// Equivalent unit processing time of the subtree rooted here.
-    pub equivalent: f64,
-    /// Solutions of the child subtrees, in distribution order.
-    pub children: Vec<TreeSolution>,
-}
-
-impl TreeSolution {
-    /// Flatten retained fractions in depth-first (preorder) order.
-    pub fn flatten(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect(&mut out);
-        out
-    }
-
-    fn collect(&self, out: &mut Vec<f64>) {
-        out.push(self.alpha);
-        for c in &self.children {
-            c.collect(out);
-        }
-    }
-
-    /// Sum of retained fractions across the subtree; 1.0 at the root of a
-    /// full solution.
-    pub fn total(&self) -> f64 {
-        self.alpha + self.children.iter().map(TreeSolution::total).sum::<f64>()
-    }
-}
 
 /// Canonicalize a tree for scheduling: recursively sort every node's
 /// children by ascending link rate (stable for ties).
@@ -169,8 +136,8 @@ impl FlatTree {
     }
 
     /// The stored service order.
-    pub fn identity_order(&self) -> Vec<usize> {
-        self.kids.clone()
+    pub fn identity_order(&self) -> &[usize] {
+        &self.kids
     }
 
     /// The service order in which node `i` serves its `perms[i][k]`-th
@@ -239,69 +206,19 @@ impl FlatTree {
 }
 
 /// Compute the equivalent unit processing time of a subtree by bottom-up
-/// star reduction.
+/// star reduction: the makespan of the whole tree under the optimal
+/// allocation (all processors finish together).
 pub fn equivalent_time(node: &TreeNode) -> f64 {
-    reduce(node, &mut Vec::new()).equivalent
+    solve(node).equivalent[0]
 }
 
-/// Solve the tree problem: optimal fractions for every processor when the
-/// root originates a unit load.
-pub fn solve(root: &TreeNode) -> TreeSolution {
-    distribute(root, 1.0)
-}
-
-/// Distribute `amount` units of load into the subtree rooted at `node`:
-/// one bottom-up pass solves every local star once, one top-down pass
-/// splits the load.
-pub fn distribute(node: &TreeNode, amount: f64) -> TreeSolution {
-    let mut sol = reduce(node, &mut Vec::new());
-    spread(&mut sol, amount);
+/// Solve the tree problem: optimal fractions for every processor, in
+/// preorder, when the root originates a unit load.
+pub fn solve(root: &TreeNode) -> FlatSolution {
+    let flat = FlatTree::new(root);
+    let mut sol = FlatSolution::default();
+    flat.solve_into(&flat.rate, &flat.kids, &mut sol);
     sol
-}
-
-/// The bottom-up pass: each subtree's equivalent time, with every local
-/// star solved once by [`star::solve_into`] (`fractions` is scratch).
-/// Until [`spread`] runs, `alpha` holds the node's own star fraction and
-/// `received` its share of its parent's load.
-fn reduce(node: &TreeNode, fractions: &mut Vec<f64>) -> TreeSolution {
-    let mut children: Vec<TreeSolution> = node
-        .children
-        .iter()
-        .map(|(_, child)| reduce(child, fractions))
-        .collect();
-    fractions.resize(children.len() + 1, 0.0);
-    let local = node
-        .children
-        .iter()
-        .zip(&children)
-        .map(|((link, _), c)| (link.z, c.equivalent));
-    let equivalent = star::solve_into(node.processor.w, local, fractions);
-    for (c, &share) in children.iter_mut().zip(&fractions[1..]) {
-        c.received = share;
-    }
-    TreeSolution {
-        alpha: fractions[0],
-        received: 1.0,
-        equivalent,
-        children,
-    }
-}
-
-/// The top-down pass: scale each star's fractions by the load its node
-/// receives.
-fn spread(sol: &mut TreeSolution, amount: f64) {
-    sol.alpha *= amount;
-    sol.received = amount;
-    for c in &mut sol.children {
-        let share = c.received;
-        spread(c, share * amount);
-    }
-}
-
-/// The makespan of the whole tree under the optimal allocation: the
-/// equivalent time of the root subtree (all processors finish together).
-pub fn makespan(root: &TreeNode) -> f64 {
-    equivalent_time(root)
 }
 
 /// Result of [`splice_node`]: the survivor tree plus the preorder
@@ -394,11 +311,8 @@ pub fn splice_node(root: &TreeNode, dead: usize) -> SplicedTree {
 }
 
 /// Verify that the solution's fractions are non-negative and sum to one.
-pub fn validate(sol: &TreeSolution) -> bool {
-    fn all_nonneg(s: &TreeSolution) -> bool {
-        s.alpha >= -EPSILON && s.children.iter().all(all_nonneg)
-    }
-    all_nonneg(sol) && (sol.total() - 1.0).abs() < 1e-6
+pub fn validate(sol: &FlatSolution) -> bool {
+    sol.alpha.iter().all(|&a| a >= -EPSILON) && (sol.alpha.iter().sum::<f64>() - 1.0).abs() < 1e-6
 }
 
 #[cfg(test)]
@@ -410,8 +324,9 @@ mod tests {
     #[test]
     fn leaf_takes_everything() {
         let sol = solve(&TreeNode::leaf(2.0));
-        assert_eq!(sol.alpha, 1.0);
-        assert_eq!(sol.equivalent, 2.0);
+        assert_eq!(sol.alpha, [1.0]);
+        assert_eq!(sol.received, [1.0]);
+        assert_eq!(sol.equivalent, [2.0]);
     }
 
     #[test]
@@ -420,16 +335,16 @@ mod tests {
         let tree = TreeNode::from_chain(&net);
         let tsol = solve(&tree);
         let lsol = linear::solve(&net);
-        let flat = tsol.flatten();
         for i in 0..net.len() {
             assert!(
-                (flat[i] - lsol.alloc.alpha(i)).abs() < 1e-12,
+                (tsol.alpha[i] - lsol.alloc.alpha(i)).abs() < 1e-12,
                 "α_{i}: tree {} vs chain {}",
-                flat[i],
+                tsol.alpha[i],
                 lsol.alloc.alpha(i)
             );
         }
-        assert!((makespan(&tree) - lsol.makespan()).abs() < 1e-12);
+        assert!((equivalent_time(&tree) - lsol.makespan()).abs() < 1e-12);
+        assert_eq!(tsol.equivalent[0], equivalent_time(&tree));
     }
 
     #[test]
@@ -445,9 +360,8 @@ mod tests {
         );
         let tsol = solve(&tree);
         let ssol = star::solve(&star_net);
-        let flat = tsol.flatten();
         for i in 0..4 {
-            assert!((flat[i] - ssol.alloc.alpha(i)).abs() < 1e-12);
+            assert!((tsol.alpha[i] - ssol.alloc.alpha(i)).abs() < 1e-12);
         }
     }
 
@@ -474,12 +388,18 @@ mod tests {
         );
         let sol = solve(&tree);
         assert!(validate(&sol));
-        // Symmetric branches receive... the first branch receives more due
-        // to sequential distribution.
-        assert!(sol.children[0].received > sol.children[1].received);
+        // Preorder: [root, A, A1, A2, B, B1, B2]. Symmetric branches
+        // receive... the first branch receives more due to sequential
+        // distribution.
+        assert!(sol.received[1] > sol.received[4]);
         // Within a branch, symmetry holds: both leaves of the first internal
         // node relate by the same w/(z+w) ratio as the star recursion.
-        assert!(sol.children[0].children[0].alpha > sol.children[0].children[1].alpha);
+        assert!(sol.alpha[2] > sol.alpha[3]);
+        // Each internal node keeps its share and hands the rest on.
+        for (i, kids) in [(1, [2, 3]), (4, [5, 6])] {
+            let handed = sol.received[kids[0]] + sol.received[kids[1]];
+            assert!((sol.alpha[i] + handed - sol.received[i]).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -499,7 +419,7 @@ mod tests {
         let tree = TreeNode::from_chain(&net);
         let sol = solve(&tree);
         assert!(validate(&sol));
-        assert!((makespan(&tree) - linear::solve(&net).makespan()).abs() < 1e-10);
+        assert!((equivalent_time(&tree) - linear::solve(&net).makespan()).abs() < 1e-10);
     }
 
     #[test]
@@ -630,14 +550,5 @@ mod tests {
         assert_eq!(canon.children[1].1.children[0].1, TreeNode::leaf(2.0));
         assert_eq!(canon.children[1].1.children[1].1, TreeNode::leaf(0.7));
         assert_eq!(canon.children[2].1, TreeNode::leaf(1.1));
-    }
-
-    #[test]
-    fn distribute_scales_linearly() {
-        let tree = TreeNode::internal(1.0, vec![(0.2, TreeNode::leaf(2.0))]);
-        let full = distribute(&tree, 1.0);
-        let half = distribute(&tree, 0.5);
-        assert!((half.alpha - full.alpha * 0.5).abs() < 1e-12);
-        assert!((half.children[0].alpha - full.children[0].alpha * 0.5).abs() < 1e-12);
     }
 }

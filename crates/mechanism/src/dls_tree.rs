@@ -37,7 +37,7 @@
 
 use crate::agent::{Agent, Conduct};
 use crate::payment::{self, PaymentInputs};
-use dlt::model::{Link, Processor, TreeNode};
+use dlt::model::{LinearNetwork, Processor, StarNetwork, TreeNode};
 use dlt::seqsearch::TreeOrder;
 use dlt::tree::{FlatSolution, FlatTree};
 
@@ -83,6 +83,14 @@ pub struct TreeMechanism {
     /// The bid-independent service order of `Canonical` and `Frozen`
     /// (empty for the bid-dependent policy).
     order: Vec<usize>,
+}
+
+/// The root's rate, then a placeholder rate for the agent behind each
+/// link (bids replace it).
+fn placeholders(root_rate: f64, link_rates: &[f64]) -> Vec<f64> {
+    let mut w = vec![1.0; link_rates.len() + 1];
+    w[0] = root_rate;
+    w
 }
 
 /// Per-agent outcome of a tree settlement.
@@ -152,7 +160,7 @@ impl TreeMechanism {
         let order = match &policy {
             // The shape is canonical, so its stored order *is* the
             // canonical service order.
-            OrderPolicy::Canonical => flat.identity_order(),
+            OrderPolicy::Canonical => flat.identity_order().to_vec(),
             OrderPolicy::Frozen(order) => {
                 assert!(
                     order.is_valid(&shape),
@@ -183,30 +191,14 @@ impl TreeMechanism {
 
     /// A chain as a degenerate tree (for cross-checks against DLS-LBL).
     pub fn chain(root_rate: f64, link_rates: &[f64]) -> Self {
-        let mut node = TreeNode::leaf(1.0);
-        for &z in link_rates.iter().skip(1).rev() {
-            node = TreeNode {
-                processor: Processor::new(1.0),
-                children: vec![(Link::new(z), node)],
-            };
-        }
-        let root = TreeNode {
-            processor: Processor::new(root_rate),
-            children: vec![(Link::new(link_rates[0]), node)],
-        };
-        Self::new(root)
+        let net = LinearNetwork::from_rates(&placeholders(root_rate, link_rates), link_rates);
+        Self::new(TreeNode::from_chain(&net))
     }
 
     /// A star/bus as a depth-1 tree.
     pub fn star(root_rate: f64, link_rates: &[f64]) -> Self {
-        let children = link_rates
-            .iter()
-            .map(|&z| (Link::new(z), TreeNode::leaf(1.0)))
-            .collect();
-        Self::new(TreeNode {
-            processor: Processor::new(root_rate),
-            children,
-        })
+        let net = StarNetwork::from_rates(&placeholders(root_rate, link_rates), link_rates);
+        Self::new(TreeNode::from_star(&net))
     }
 
     /// Number of strategic agents.
@@ -230,7 +222,7 @@ impl TreeMechanism {
                 // Serve each node's children in ascending order of their
                 // bid-instantiated equivalents over the canonical view
                 // (stable for ties).
-                let mut order = flat.identity_order();
+                let mut order = flat.identity_order().to_vec();
                 flat.reduce_into(&rate, &order, &mut sol);
                 flat.sort_children(&mut order, &sol.equivalent);
                 bid_order = order;

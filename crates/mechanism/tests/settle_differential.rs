@@ -7,16 +7,19 @@
 //!   it must equal, to the bit, a frozen copy of the path it replaced,
 //!   which rebuilt the bid tree, re-ordered it with a preorder map, solved
 //!   it recursively and re-solved each parent's local star once per agent.
-//! * `dlt::tree::solve` runs one bottom-up and one top-down pass; it must
-//!   equal a frozen copy of the recursion it replaced, which re-solved
-//!   every subtree once per ancestor.
+//! * `dlt::tree::solve` runs one bottom-up and one top-down pass over
+//!   preorder arrays; in preorder, it must equal a frozen copy of the
+//!   nested recursion it replaced, which re-solved every subtree once per
+//!   ancestor. The pin covers a lone leaf, every shape below with its
+//!   stored order reversed, and every `splice_node` survivor: the trees
+//!   fault recovery re-solves, down to a lone root.
 //!
 //! Floats are compared with `to_bits`, so `-0.0`/`0.0` and NaN payloads
 //! count as differences.
 
 use dlt::model::{Link, Processor, TreeNode};
 use dlt::seqsearch::{self, TreeOrder};
-use dlt::tree::{self, TreeSolution};
+use dlt::tree::{self, FlatSolution};
 use mechanism::{Agent, AgentOutcome, Conduct, DlsLbl, OrderPolicy, TreeMechanism, TreeOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,6 +150,14 @@ fn deviation_rejects_a_non_positive_bid_like_settle() {
 mod frozen {
     use super::*;
 
+    /// The replaced nested solution, mirroring the tree's shape.
+    pub struct Nested {
+        pub alpha: f64,
+        pub received: f64,
+        pub equivalent: f64,
+        pub children: Vec<Nested>,
+    }
+
     /// The replaced `star::solve` arithmetic: fractions and makespan.
     pub fn star_solve(root_w: f64, children: &[(f64, f64)]) -> (Vec<f64>, f64) {
         let mut raw = Vec::with_capacity(children.len() + 1);
@@ -178,9 +189,9 @@ mod frozen {
         star_solve(node.processor.w, &local_star(node)).1
     }
 
-    pub fn distribute(node: &TreeNode, amount: f64) -> TreeSolution {
+    pub fn distribute(node: &TreeNode, amount: f64) -> Nested {
         if node.children.is_empty() {
-            return TreeSolution {
+            return Nested {
                 alpha: amount,
                 received: amount,
                 equivalent: node.processor.w,
@@ -194,7 +205,7 @@ mod frozen {
             .enumerate()
             .map(|(i, (_, child))| distribute(child, fractions[i + 1] * amount))
             .collect();
-        TreeSolution {
+        Nested {
             alpha: fractions[0] * amount,
             received: amount,
             equivalent: makespan,
@@ -297,7 +308,7 @@ mod frozen {
         let mut infos: Vec<Option<NodeInfo>> = (0..n).map(|_| None).collect();
         fn walk(
             node: &TreeNode,
-            sol: &TreeSolution,
+            sol: &Nested,
             parent: Option<usize>,
             next_new: &mut usize,
             old_of_new: &[usize],
@@ -491,55 +502,72 @@ fn tree_settle_matches_the_frozen_rebuild_path_bitwise() {
     assert!(checked > 1000, "only {checked} profiles");
 }
 
-fn solution_bits(s: &TreeSolution, out: &mut Vec<[u64; 3]>) {
+/// The frozen solution's `[alpha, received, equivalent]` bits, preorder.
+fn nested_bits(s: &frozen::Nested, out: &mut Vec<[u64; 3]>) {
     out.push([s.alpha, s.received, s.equivalent].map(f64::to_bits));
     for c in &s.children {
-        solution_bits(c, out);
+        nested_bits(c, out);
     }
+}
+
+/// The flat solution's `[alpha, received, equivalent]` bits, preorder.
+fn flat_bits(s: &FlatSolution) -> Vec<[u64; 3]> {
+    (0..s.alpha.len())
+        .map(|i| [s.alpha[i], s.received[i], s.equivalent[i]].map(f64::to_bits))
+        .collect()
+}
+
+/// `shape` with `rates` at its non-root processors, preorder.
+fn with_rates(shape: &TreeNode, rates: &[f64]) -> TreeNode {
+    fn build(node: &TreeNode, rates: &[f64], at: &mut usize, root: bool) -> TreeNode {
+        let w = if root {
+            node.processor.w
+        } else {
+            *at += 1;
+            rates[*at - 1]
+        };
+        TreeNode {
+            processor: Processor::new(w),
+            children: node
+                .children
+                .iter()
+                .map(|(l, c)| (*l, build(c, rates, at, false)))
+                .collect(),
+        }
+    }
+    build(shape, rates, &mut 0, true)
 }
 
 #[test]
 fn tree_solve_matches_the_frozen_recursion_bitwise() {
+    let mut trees = vec![TreeNode::leaf(2.7)];
     for (shape, rates) in tree_cases() {
-        let mut at = 0;
-        fn with_rates(node: &TreeNode, rates: &[f64], at: &mut usize, root: bool) -> TreeNode {
-            let w = if root {
-                node.processor.w
-            } else {
-                *at += 1;
-                rates[*at - 1]
-            };
-            TreeNode {
-                processor: Processor::new(w),
-                children: node
-                    .children
-                    .iter()
-                    .map(|(l, c)| (*l, with_rates(c, rates, at, false)))
-                    .collect(),
-            }
-        }
-        // Both the canonical and a stored (non-canonical) child order.
-        let canonical = with_rates(&shape, &rates, &mut at, true);
+        // The canonical order, a stored (non-canonical) order, and every
+        // survivor of one splice.
+        let canonical = with_rates(&shape, &rates);
         let reversed = seqsearch::apply_order(&canonical, &{
             let mut order = seqsearch::identity_order(&canonical);
             order.perms.iter_mut().for_each(|p| p.reverse());
             order
         });
-        for t in [canonical, reversed] {
-            for amount in [1.0, 0.37] {
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                solution_bits(&tree::distribute(&t, amount), &mut got);
-                solution_bits(&frozen::distribute(&t, amount), &mut want);
-                assert_eq!(got, want, "{t:?} × {amount}");
-            }
-            assert_eq!(
-                tree::equivalent_time(&t).to_bits(),
-                frozen::equivalent_time(&t).to_bits()
-            );
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            solution_bits(&tree::solve(&t), &mut got);
-            solution_bits(&frozen::distribute(&t, 1.0), &mut want);
-            assert_eq!(got, want);
-        }
+        let survivors: Vec<TreeNode> = (1..canonical.size())
+            .map(|dead| tree::splice_node(&canonical, dead).tree)
+            .collect();
+        trees.extend([canonical, reversed]);
+        trees.extend(survivors);
     }
+    assert!(trees
+        .iter()
+        .any(|t| t.children.is_empty() && t.processor.w != 2.7));
+    for t in &trees {
+        let mut want = Vec::new();
+        nested_bits(&frozen::distribute(t, 1.0), &mut want);
+        assert_eq!(flat_bits(&tree::solve(t)), want, "{t:?}");
+        assert_eq!(
+            tree::equivalent_time(t).to_bits(),
+            frozen::equivalent_time(t).to_bits(),
+            "{t:?}"
+        );
+    }
+    assert!(trees.len() > 300, "only {} trees", trees.len());
 }

@@ -80,6 +80,29 @@ impl Deviation {
         )
     }
 
+    /// True if this deviation can drive a run of an agent with true rate
+    /// `true_rate`: every parameter is finite, and every rate it makes is
+    /// finite and positive. Those are the declared or metered rate
+    /// `factor × t` of a bid or speed strategy, and the reported
+    /// equivalent of `WrongEquivalent`, at most `factor × t` because an
+    /// equivalent never exceeds its node's own rate.
+    pub(crate) fn fits(&self, true_rate: f64) -> bool {
+        match *self {
+            Deviation::Underbid { factor }
+            | Deviation::Overbid { factor }
+            | Deviation::SlackExecution { factor }
+            | Deviation::WrongEquivalent { factor } => {
+                let rate = factor * true_rate;
+                rate.is_finite() && rate > 0.0
+            }
+            Deviation::ContradictoryBid { second_factor: x }
+            | Deviation::WrongDistribution { factor: x }
+            | Deviation::ShedLoad { keep_fraction: x }
+            | Deviation::Overcharge { amount: x } => x.is_finite(),
+            Deviation::None | Deviation::FalseAccusation => true,
+        }
+    }
+
     /// True if the node follows the protocol exactly.
     pub fn is_compliant(&self) -> bool {
         matches!(self, Deviation::None)

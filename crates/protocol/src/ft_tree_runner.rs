@@ -17,10 +17,13 @@
 //! * **Detection**: a node's first child is the first in canonical service
 //!   order, so a silent node's Phase II allocation is awaited by that child
 //!   (the root for a leaf). On a degenerate path the rules reduce to the
-//!   chain's predecessor/successor rules.
+//!   chain's predecessor/successor rules. Parents, first children and
+//!   links come from the run's [`dlt::tree::FlatTree`], built once per
+//!   network and once per survivor network.
 //! * **Re-solve and re-settlement**: residuals are re-solved over the
-//!   spliced *bid* tree ([`dlt::tree::solve`]); a silent Phase IV node's
-//!   honest bill comes from the root's own [`TreeMechanism`] settlement.
+//!   spliced *bid* tree by the flat two-pass [`dlt::tree::solve`], down to
+//!   a lone surviving root; a silent Phase IV node's honest bill comes
+//!   from the root's own [`TreeMechanism`] settlement.
 //! * **Base run**: the shared four-phase skeleton's tree impl
 //!   (`tree_runner`) keeps no transcript and times no node, so a
 //!   branching tree's timeline carries only the detection waits, splice
@@ -48,12 +51,14 @@ use crate::faults::FaultPlan;
 use crate::ft_engine::{self, BaseRun, Topology};
 use crate::ft_runner::{FtError, FtRunReport};
 use crate::ledger::Ledger;
-use crate::runner::{check_rates, check_terms, Scenario, ScenarioError};
-use crate::tree_runner::{flatten, TreeArbitration, TreeScenario};
+use crate::phases;
+use crate::runner::{Scenario, ScenarioError};
+use crate::tree_runner::{TreeArbitration, TreeRun, TreeScenario};
 use dlt::model::{Processor, TreeNode};
 use dlt::tree::{self, SplicedTree};
 use mechanism::dls_tree::TreeMechanism;
 use mechanism::Conduct;
+use std::borrow::Cow;
 
 /// Everything a fault-tolerant tree run produced. All per-node vectors use
 /// the **original** preorder indexing over the canonicalized shape (`0` =
@@ -121,22 +126,30 @@ fn with_rates(shape: &TreeNode, rates: &[f64]) -> TreeNode {
 /// blocks and seed, no solution bonus (the tree protocol has none).
 /// Returns `None` for a branching tree.
 pub fn as_chain_scenario(scenario: &TreeScenario) -> Option<Scenario> {
-    let flat = flatten(&scenario.shape);
-    if flat.children.iter().any(|c| c.len() > 1) {
-        return None;
+    TreeRun::new(Cow::Borrowed(scenario)).as_chain()
+}
+
+impl TreeRun<'_> {
+    /// [`as_chain_scenario`] of the run's scenario.
+    fn as_chain(&self) -> Option<Scenario> {
+        // A path: every node's parent is its preorder predecessor.
+        let (flat, scenario) = (&self.flat, &*self.scenario);
+        if (1..flat.len()).any(|i| flat.parent[i] != i - 1) {
+            return None;
+        }
+        // On a path, preorder is chain order and `link[j]` feeds `P_j`.
+        Some(Scenario {
+            root_rate: flat.rate[0],
+            true_rates: scenario.true_rates.clone(),
+            link_rates: flat.link[1..].to_vec(),
+            deviations: scenario.deviations.clone(),
+            fine: scenario.fine,
+            blocks: scenario.blocks,
+            seed: scenario.seed,
+            solution_bonus: 0.0,
+            solution_found: false,
+        })
     }
-    // On a path, preorder is chain order and `z_in[j]` feeds `P_j`.
-    Some(Scenario {
-        root_rate: scenario.shape.processor.w,
-        true_rates: scenario.true_rates.clone(),
-        link_rates: flat.z_in[1..].to_vec(),
-        deviations: scenario.deviations.clone(),
-        fine: scenario.fine,
-        blocks: scenario.blocks,
-        seed: scenario.seed,
-        solution_bonus: 0.0,
-        solution_found: false,
-    })
 }
 
 /// Wrap the engine's report into the tree report shape, verbatim: the
@@ -162,53 +175,54 @@ fn from_chain_report(r: FtRunReport) -> FtTreeRunReport {
     }
 }
 
-impl Topology for TreeScenario {
+impl Topology for TreeRun<'_> {
     type BidNet = TreeNode;
 
     const TIMES_NODES: bool = false;
 
     fn root_rate(&self) -> f64 {
-        self.shape.processor.w
+        self.flat.rate[0]
     }
 
     fn parent(&self, k: NodeId) -> NodeId {
-        flatten(&self.shape).parent[k].expect("strategic nodes have parents")
+        self.flat.parent[k]
     }
 
     fn first_child(&self, k: NodeId) -> Option<NodeId> {
-        flatten(&self.shape).children[k].first().copied()
+        self.children(k).first().copied()
     }
 
     fn base_run(&self) -> Result<BaseRun, ScenarioError> {
-        Ok(crate::tree_runner::play(self).0)
+        Ok(phases::run(self).0)
     }
 
     /// Splicing moves no processor, so every survivor keeps its true rate
     /// and deviation, renumbered through the splice map.
     fn without(&self, k: NodeId) -> (Self, Vec<Option<usize>>) {
-        let true_tree = with_rates(&self.shape, &self.true_rates);
+        let s = &*self.scenario;
+        let true_tree = with_rates(&s.shape, &s.true_rates);
         let SplicedTree { tree: shape, map } = tree::splice_node(&true_tree, k);
-        let mut true_rates = vec![0.0; self.num_agents() - 1];
-        let mut deviations = vec![crate::deviation::Deviation::None; self.num_agents() - 1];
+        let mut true_rates = vec![0.0; s.num_agents() - 1];
+        let mut deviations = vec![crate::deviation::Deviation::None; s.num_agents() - 1];
         for (j, new) in map.iter().enumerate().skip(1) {
             if let Some(nj) = new {
-                true_rates[nj - 1] = self.true_rates[j - 1];
-                deviations[nj - 1] = self.deviations[j - 1];
+                true_rates[nj - 1] = s.true_rates[j - 1];
+                deviations[nj - 1] = s.deviations[j - 1];
             }
         }
         let survivors = TreeScenario {
             shape,
             true_rates,
             deviations,
-            ..*self
+            ..*s
         };
-        (survivors, map)
+        (TreeRun::new(Cow::Owned(survivors)), map)
     }
 
     /// Bids do not move links, so the canonical order of the bid tree is
     /// the shape's own.
     fn bid_net(&self, base: &BaseRun) -> TreeNode {
-        with_rates(&self.shape, &base.bids)
+        with_rates(&self.scenario.shape, &base.bids)
     }
 
     fn splice_bid_net(net: &mut TreeNode, orig_of: &mut Vec<usize>, at: usize) {
@@ -221,20 +235,16 @@ impl Topology for TreeScenario {
     }
 
     fn allocation(t: &TreeNode) -> (f64, Vec<f64>) {
-        if t.size() == 1 {
-            (t.processor.w, vec![1.0])
-        } else {
-            let sol = tree::solve(t);
-            (sol.equivalent, sol.flatten())
-        }
+        let sol = tree::solve(t);
+        (sol.equivalent[0], sol.alpha)
     }
 
     /// The same settlement the base run used — deterministic, so an honest
     /// casualty's re-posted bill is bit-identical to the one it never
     /// sent.
     fn billing<'a>(&'a self, base: &'a BaseRun) -> impl Fn(NodeId) -> (f64, f64) + 'a {
-        let mech = TreeMechanism::new(self.shape.clone());
-        let conducts: Vec<Conduct> = (1..=self.num_agents())
+        let mech = TreeMechanism::new(self.scenario.shape.clone());
+        let conducts: Vec<Conduct> = (1..=self.scenario.num_agents())
             .map(|j| Conduct {
                 bid: base.bids[j - 1],
                 actual_rate: base.actual_rates[j - 1],
@@ -262,27 +272,18 @@ pub fn run_with_faults(
     scenario: &TreeScenario,
     plan: &FaultPlan,
 ) -> Result<FtTreeRunReport, FtError> {
-    // The chain's scenario checks, with the shape supplying the root rate
-    // and the links; like `Link::new`, a zero link (co-located processors)
-    // is allowed. The tree protocol has no solution bonus.
-    check_rates(
-        scenario.shape.processor.w,
-        &scenario.true_rates,
-        &flatten(&scenario.shape).z_in[1..],
-        true,
-        scenario.deviations.len(),
-    )?;
-    check_terms(&scenario.fine, 0.0, scenario.blocks)?;
+    let run = TreeRun::new(Cow::Borrowed(scenario));
+    run.validate()?;
     let m = scenario.num_agents();
     plan.validate(m)?;
     let _ft_span =
         obs::span!("protocol.ft_tree.run", "m" => m, "timeout" => plan.detection_timeout);
 
-    let report = match as_chain_scenario(scenario) {
+    let report = match run.as_chain() {
         // A degenerate path IS a chain: inherit the frozen chain fault
         // semantics wholesale — byte-identical by construction.
         Some(chain) => crate::ft_runner::run_with_faults(&chain, plan)?,
-        None => ft_engine::run(scenario, plan)?,
+        None => ft_engine::run(&run, plan)?,
     };
     Ok(from_chain_report(report))
 }
@@ -378,8 +379,7 @@ mod tests {
         // tree directly.
         let true_tree = with_rates(&s.shape, &s.true_rates);
         let spliced = tree::splice_node(&true_tree, 1);
-        let sol = tree::solve(&spliced.tree);
-        let shares = sol.flatten();
+        let shares = tree::solve(&spliced.tree).alpha;
         for (old, new) in spliced.map.iter().enumerate() {
             if let Some(new) = new {
                 assert!(

@@ -5,7 +5,6 @@
 use crate::crypto::{Dsm, NodeId, Registry};
 use crate::lambda::LoadTag;
 use crate::root::ARBITRATION_TOL;
-use dlt::model::{Link, Processor, StarNetwork};
 
 /// Phase II message `G_i` handed from `P_{i-1}` to `P_i` (eq. 4.2; eq. 4.1
 /// is the `i = 1` case where both signer indices collapse to the root).
@@ -99,18 +98,6 @@ impl GMessage {
     }
 }
 
-/// A node's local star: its rate `w`, then one `(link z, child
-/// equivalent)` pair per child in service order.
-pub(crate) fn local_star(w: f64, children: impl IntoIterator<Item = (f64, f64)>) -> StarNetwork {
-    StarNetwork::new(
-        Processor::new(w),
-        children
-            .into_iter()
-            .map(|(z, w)| (Link::new(z), Processor::new(w)))
-            .collect(),
-    )
-}
-
 /// Phase II message from a tree node `P_p` to one of its children.
 ///
 /// A parent with several children cannot be checked with the two-term
@@ -157,10 +144,11 @@ impl LocalDecision {
             return false;
         }
         let children = self.children.iter().map(|&(z, e)| (z, e.payload));
-        let sol = dlt::star::solve(&local_star(self.w.payload, children));
-        let share = self.d_prev.payload * sol.alloc.alpha(self.position + 1);
+        let mut star = vec![0.0; self.children.len() + 1];
+        let makespan = dlt::star::solve_into(self.w.payload, children, &mut star);
+        let share = self.d_prev.payload * star[self.position + 1];
         let close = |a: f64, b: f64| (a - b).abs() <= ARBITRATION_TOL;
-        (p == 0 || close(self.wbar.payload, sol.makespan)) && close(self.d_cur.payload, share)
+        (p == 0 || close(self.wbar.payload, makespan)) && close(self.d_cur.payload, share)
     }
 }
 

@@ -392,7 +392,7 @@ mod tests {
             (0.1, Dsm::new(&reg.keypair(1), w[1])),
             (0.2, Dsm::new(&reg.keypair(2), w[2])),
         ];
-        let star = crate::messages::local_star(w[0], [(0.1, w[1]), (0.2, w[2])]);
+        let star = dlt::model::StarNetwork::from_rates(&w, &[0.1, 0.2]);
         let sol = dlt::star::solve(&star);
         crate::messages::LocalDecision {
             d_prev: Dsm::new(&root, 1.0),

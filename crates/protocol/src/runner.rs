@@ -77,6 +77,15 @@ pub enum ScenarioError {
     BadSolutionBonus(f64),
     /// Λ must divide the unit load into at least one block.
     ZeroBlocks,
+    /// A deviation's parameter is not finite, or makes a rate that is not
+    /// finite and positive: a declared or metered rate `factor × t`, or a
+    /// reported equivalent, which is at most `factor × t`.
+    BadDeviation {
+        /// Index within `deviations` (`P_{index+1}`'s).
+        index: usize,
+        /// The offending deviation.
+        deviation: Deviation,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -111,6 +120,10 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "solution bonus {v} is not finite and non-negative")
             }
             ScenarioError::ZeroBlocks => write!(f, "Λ granularity must be at least one block"),
+            ScenarioError::BadDeviation { index, deviation } => write!(
+                f,
+                "deviations[{index}] = {deviation:?} needs finite parameters and positive rates"
+            ),
         }
     }
 }
@@ -172,16 +185,18 @@ impl Scenario {
         self
     }
 
-    /// Check every numeric input the protocol relies on. [`try_run`] calls
-    /// this before touching any state; a scenario that passes cannot make
-    /// the run itself divide by zero or propagate NaNs from its inputs.
+    /// Check every numeric input the protocol relies on, deviation
+    /// parameters included. [`try_run`] and both fault-tolerant runners
+    /// call this before touching any state; a scenario that passes cannot
+    /// make the run itself divide by zero or propagate NaNs from its
+    /// inputs.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         check_rates(
             self.root_rate,
             &self.true_rates,
             &self.link_rates,
             false,
-            self.deviations.len(),
+            &self.deviations,
         )?;
         check_terms(&self.fine, self.solution_bonus, self.blocks)
     }
@@ -191,23 +206,24 @@ impl Scenario {
 /// exist and line up one-to-one with their links (`link_rates[j-1]` feeds
 /// `P_j`) and deviations; the root and every agent run at finite positive
 /// rates; every link is finite and positive, or non-negative when
-/// `zero_links` allows co-located processors.
+/// `zero_links` allows co-located processors; every deviation fits its
+/// agent (`Deviation::fits`).
 pub(crate) fn check_rates(
     root_rate: f64,
     true_rates: &[f64],
     link_rates: &[f64],
     zero_links: bool,
-    deviations: usize,
+    deviations: &[Deviation],
 ) -> Result<(), ScenarioError> {
     let m = true_rates.len();
     if m == 0 {
         return Err(ScenarioError::NoAgents);
     }
-    if link_rates.len() != m || deviations != m {
+    if link_rates.len() != m || deviations.len() != m {
         return Err(ScenarioError::LengthMismatch {
             true_rates: m,
             link_rates: link_rates.len(),
-            deviations,
+            deviations: deviations.len(),
         });
     }
     check_positive("root_rate", 0, root_rate)?;
@@ -219,7 +235,13 @@ pub(crate) fn check_rates(
             check_positive("link_rates", i, z)?;
         }
     }
-    Ok(())
+    match (0..m).find(|&i| !deviations[i].fits(true_rates[i])) {
+        Some(index) => Err(ScenarioError::BadDeviation {
+            index,
+            deviation: deviations[index],
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The checks every protocol scenario shares after its rates: the fine
@@ -855,6 +877,25 @@ mod tests {
         let mut s = scenario();
         s.blocks = 0;
         assert_eq!(try_run(&s).unwrap_err(), ScenarioError::ZeroBlocks);
+    }
+
+    #[test]
+    fn try_run_rejects_out_of_range_deviations() {
+        // A metered rate of 0 would reach the Phase III simulation.
+        let slack = Deviation::SlackExecution { factor: 0.0 };
+        assert_eq!(
+            try_run(&scenario().with_deviation(2, slack)).unwrap_err(),
+            ScenarioError::BadDeviation {
+                index: 1,
+                deviation: slack
+            }
+        );
+        // A factor whose rate overflows is as bad as an infinite one.
+        let overbid = Deviation::Overbid { factor: 1e308 };
+        assert!(matches!(
+            try_run(&scenario().with_deviation(3, overbid)),
+            Err(ScenarioError::BadDeviation { index: 2, .. })
+        ));
     }
 
     #[test]

@@ -2,22 +2,27 @@
 //! the DLS-T companion mechanism (`mechanism::dls_tree`).
 //!
 //! Phases I–IV are the crate's shared `phases` skeleton; what changes on
-//! a tree is the equivalent step (the local star's `star::equivalent_time`)
-//! and the Phase II message: a parent with several children cannot be
-//! checked with the two-term balance identity (eq. 2.7), so it hands every
-//! child its whole [`LocalDecision`] and the child replays the local star.
-//! Phase III ships one-port in canonical service order, a shedder
-//! spreading its excess over its children pro rata.
+//! a tree is the equivalent step (the local star's equal-finish makespan,
+//! [`star::solve_into`]) and the Phase II message: a parent with several
+//! children cannot be checked with the two-term balance identity (eq.
+//! 2.7), so it hands every child its whole [`LocalDecision`] and the child
+//! replays the local star. Phase III ships one-port in canonical service
+//! order, a shedder spreading its excess over its children pro rata.
+//! Every step reads the canonical shape's preorder layout
+//! ([`dlt::tree::FlatTree`]), built once per run.
 
 use crate::crypto::{Dsm, NodeId};
 use crate::deviation::Deviation;
 use crate::ledger::Ledger;
-use crate::messages::{local_star, Complaint, LocalDecision};
-use crate::phases::{self, Allocation, Execution, Outcome, Phases, Run, Terms};
+use crate::messages::{Complaint, LocalDecision};
+use crate::phases::{self, Allocation, Execution, Phases, Run, Terms};
 use crate::root::ArbitrationRecord;
-use dlt::model::{StarNetwork, TreeNode};
+use crate::runner::{check_rates, check_terms, ScenarioError};
+use dlt::model::TreeNode;
 use dlt::star;
+use dlt::tree::FlatTree;
 use mechanism::FineSchedule;
+use std::borrow::Cow;
 
 /// A tree protocol scenario. Agent indices are preorder positions over the
 /// canonicalized shape's non-root nodes (1-based), matching
@@ -111,64 +116,48 @@ impl From<ArbitrationRecord> for TreeArbitration {
     }
 }
 
-/// Flat view of the canonicalized tree.
-pub(crate) struct Flat {
-    pub(crate) parent: Vec<Option<usize>>,
-    pub(crate) z_in: Vec<f64>, // link into each node (0 for the root)
-    pub(crate) children: Vec<Vec<usize>>,
+/// A tree scenario with its preorder layout, built once per run and once
+/// per survivor network in fault recovery. Node ids are preorder positions
+/// in the canonical shape, whose stored child order is the service order.
+pub(crate) struct TreeRun<'a> {
+    pub(crate) scenario: Cow<'a, TreeScenario>,
+    pub(crate) flat: FlatTree,
 }
 
-pub(crate) fn flatten(node: &TreeNode) -> Flat {
-    let n = node.size();
-    let mut flat = Flat {
-        parent: vec![None; n],
-        z_in: vec![0.0; n],
-        children: vec![Vec::new(); n],
-    };
-    fn walk(node: &TreeNode, parent: Option<usize>, z: f64, next: &mut usize, flat: &mut Flat) {
-        let idx = *next;
-        *next += 1;
-        flat.parent[idx] = parent;
-        flat.z_in[idx] = z;
-        if let Some(p) = parent {
-            flat.children[p].push(idx);
-        }
-        for (link, child) in &node.children {
-            walk(child, Some(idx), link.z, next, flat);
-        }
+impl<'a> TreeRun<'a> {
+    pub(crate) fn new(scenario: Cow<'a, TreeScenario>) -> Self {
+        let flat = FlatTree::new(&scenario.shape);
+        Self { scenario, flat }
     }
-    let mut next = 0;
-    walk(node, None, 0.0, &mut next, &mut flat);
-    flat
-}
 
-/// A tree scenario with its flat view, computed once per run.
-struct TreeRun<'a> {
-    scenario: &'a TreeScenario,
-    flat: Flat,
-}
-
-impl TreeRun<'_> {
-    /// `P_p`'s local star at rate `w` over its children's equivalents.
-    fn star(&self, p: NodeId, w: f64, wbar: &[f64]) -> StarNetwork {
-        let Flat { children, z_in, .. } = &self.flat;
-        local_star(w, children[p].iter().map(|&c| (z_in[c], wbar[c])))
+    /// Node `i`'s children in service order.
+    pub(crate) fn children(&self, i: NodeId) -> &[usize] {
+        self.flat.children(self.flat.identity_order(), i)
     }
-}
 
-/// Play the tree scenario's Phases I–IV; tree recovery starts from the
-/// base run.
-pub(crate) fn play(scenario: &TreeScenario) -> Outcome {
-    let flat = flatten(&scenario.shape);
-    assert_eq!(flat.parent.len(), scenario.num_agents() + 1);
-    phases::run(&TreeRun { scenario, flat })
+    /// The chain's scenario checks, with the shape supplying the root rate
+    /// and the links; like `Link::new`, a zero link (co-located
+    /// processors) is allowed. The tree protocol has no solution bonus.
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
+        let s = &*self.scenario;
+        let links = &self.flat.link[1..];
+        check_rates(self.flat.rate[0], &s.true_rates, links, true, &s.deviations)?;
+        check_terms(&s.fine, 0.0, s.blocks)
+    }
 }
 
 /// Execute the tree scenario.
+///
+/// # Panics
+/// Panics on a scenario the chain's checks reject ([`crate::Scenario::validate`],
+/// with the shape supplying the root rate and the links).
 pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
+    let run = TreeRun::new(Cow::Borrowed(scenario));
+    run.validate()
+        .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
     let n = scenario.num_agents() + 1;
     let mut run_span = obs::span!("protocol.tree.run", "n" => n, "seed" => scenario.seed);
-    let (base, received, ..) = play(scenario);
+    let (base, received, ..) = phases::run(&run);
     run_span.end_at(base.makespan);
     TreeRunReport {
         net_utilities: base.net_utilities,
@@ -183,41 +172,42 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
     }
 }
 
-impl Phases for TreeRun<'_> {
-    type Topo = TreeScenario;
+impl<'a> Phases for TreeRun<'a> {
+    type Topo = TreeRun<'a>;
 
     const TRANSCRIPT: bool = false;
 
     const AUDIT_SALT: u64 = 0x7A0D17;
 
-    fn scenario(&self) -> &TreeScenario {
-        self.scenario
+    fn scenario(&self) -> &Self {
+        self
     }
 
     fn terms(&self) -> Terms<'_> {
-        self.scenario.into()
-    }
-
-    fn parent(&self, j: NodeId) -> NodeId {
-        self.flat.parent[j].expect("non-root")
+        (&*self.scenario).into()
     }
 
     fn equivalent(&self, i: NodeId, bids: &[f64], wbar: &[f64]) -> f64 {
-        star::equivalent_time(&self.star(i, bids[i], wbar))
+        let kids = self.children(i);
+        let local = kids.iter().map(|&c| (self.flat.link[c], wbar[c]));
+        star::solve_into(bids[i], local, &mut vec![0.0; kids.len() + 1])
     }
 
     /// Every internal node splits the load it received over its local
     /// star, preorder; every child replays its parent's decision from the
     /// self-signed sibling equivalents.
     fn allocate(&self, run: &mut Run, bids: &[f64], wbar: &[f64]) -> Allocation {
-        let Flat { z_in, children, .. } = &self.flat;
-        let n = children.len();
+        let link = &self.flat.link;
+        let n = self.flat.len();
         let mut d = vec![0.0; n];
         d[0] = 1.0;
-        for p in (0..n).filter(|&p| !children[p].is_empty()) {
-            let sol = star::solve(&self.star(p, bids[p], wbar));
-            for (k, &c) in children[p].iter().enumerate() {
-                let honest = d[p] * sol.alloc.alpha(k + 1);
+        let mut star = Vec::new();
+        for p in (0..n).filter(|&p| !self.flat.is_leaf(p)) {
+            let kids = self.children(p);
+            star.resize(kids.len() + 1, 0.0);
+            star::solve_into(bids[p], kids.iter().map(|&c| (link[c], wbar[c])), &mut star);
+            for (k, &c) in kids.iter().enumerate() {
+                let honest = d[p] * star[k + 1];
                 d[c] = match self.deviation(p) {
                     Deviation::WrongDistribution { factor } if k == 0 => {
                         (honest * factor).min(d[p])
@@ -227,8 +217,9 @@ impl Phases for TreeRun<'_> {
             }
         }
         for c in 1..n {
-            let p = self.parent(c);
-            let grandparent = self.flat.parent[p].unwrap_or(0);
+            let p = self.flat.parent[c];
+            let grandparent = self.flat.parent[p];
+            let siblings = self.children(p);
             let key = run.registry.keypair(p);
             let sign = |k: NodeId| Dsm::new(&run.registry.keypair(k), wbar[k]);
             let evidence = LocalDecision {
@@ -236,8 +227,8 @@ impl Phases for TreeRun<'_> {
                 d_cur: Dsm::new(&key, d[c]),
                 w: Dsm::new(&key, bids[p]),
                 wbar: Dsm::new(&key, wbar[p]),
-                children: children[p].iter().map(|&k| (z_in[k], sign(k))).collect(),
-                position: children[p].iter().position(|&k| k == c).expect("child"),
+                children: siblings.iter().map(|&k| (link[k], sign(k))).collect(),
+                position: siblings.iter().position(|&k| k == c).expect("child"),
             };
             obs::count!("protocol.messages", "phase" => 2u8);
             obs::count!("protocol.verification.checks", "phase" => 2u8, "node" => c);
@@ -251,7 +242,7 @@ impl Phases for TreeRun<'_> {
             }
         }
         let assigned = (0..n)
-            .map(|i| d[i] - children[i].iter().map(|&c| d[c]).sum::<f64>())
+            .map(|i| d[i] - self.children(i).iter().map(|&c| d[c]).sum::<f64>())
             .collect();
         Allocation {
             d,
@@ -264,23 +255,23 @@ impl Phases for TreeRun<'_> {
     /// pro rata to their planned loads; a victim keeps what it is handed
     /// beyond its announcement.
     fn flow(&self, d: &[f64], assigned: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let children = &self.flat.children;
         let n = d.len();
         let mut received = vec![0.0; n];
         let mut retained = vec![0.0; n];
         received[0] = 1.0;
         for i in 0..n {
+            let children = self.children(i);
             let excess = (received[i] - d[i]).max(0.0);
-            let planned_children: f64 = children[i].iter().map(|&c| d[c]).sum();
+            let planned_children: f64 = children.iter().map(|&c| d[c]).sum();
             let (keep, extra_shipped) = match self.deviation(i) {
-                Deviation::ShedLoad { keep_fraction } if !children[i].is_empty() => {
+                Deviation::ShedLoad { keep_fraction } if !children.is_empty() => {
                     let keep = assigned[i] * keep_fraction;
                     (keep, assigned[i] - keep)
                 }
                 _ => (assigned[i] + excess, 0.0),
             };
             retained[i] = keep.min(received[i]).max(0.0);
-            for &c in &children[i] {
+            for &c in children {
                 let share = if planned_children > 1e-300 {
                     d[c] / planned_children
                 } else {
@@ -295,14 +286,13 @@ impl Phases for TreeRun<'_> {
     /// One-port sequential sends in canonical order. The tree times no
     /// node on its timeline.
     fn execute(&self, actual: &[f64], received: &[f64], retained: &[f64]) -> Execution {
-        let Flat { children, z_in, .. } = &self.flat;
         let n = actual.len();
         let mut recv_end = vec![0.0f64; n];
         let mut makespan = 0.0f64;
         for i in 0..n {
             let mut t = recv_end[i];
-            for &c in &children[i] {
-                t += received[c] * z_in[c];
+            for &c in self.children(i) {
+                t += received[c] * self.flat.link[c];
                 recv_end[c] = t;
             }
             makespan = makespan.max(recv_end[i] + retained[i] * actual[i]);

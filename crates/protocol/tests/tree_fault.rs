@@ -288,11 +288,7 @@ fn internal_crash_reattaches_subtrees_on_every_grid_shape() {
             assert_eq!(ft.completed[k], 0.0);
             assert_eq!(ft.splice_map[k], None);
             let spliced = dlt::tree::splice_node(&with_true_rates(&s), k);
-            let shares = if spliced.tree.size() == 1 {
-                vec![1.0]
-            } else {
-                dlt::tree::solve(&spliced.tree).flatten()
-            };
+            let shares = dlt::tree::solve(&spliced.tree).alpha;
             for (old, new) in spliced.map.iter().enumerate() {
                 if let Some(new) = new {
                     assert!(

@@ -41,6 +41,12 @@ fn parse_network(w: &str, z: &str) -> Result<LinearNetwork, String> {
             z.len()
         ));
     }
+    if let Some(bad) = w.iter().find(|&&w| !(w.is_finite() && w > 0.0)) {
+        return Err(format!("processor rate {bad} is not finite and positive"));
+    }
+    if let Some(bad) = z.iter().find(|&&z| !(z.is_finite() && z >= 0.0)) {
+        return Err(format!("link rate {bad} is not finite and non-negative"));
+    }
     Ok(LinearNetwork::from_rates(&w, &z))
 }
 
@@ -248,7 +254,13 @@ fn cmd_sweep(j: &str, w: &str, z: &str) -> Result<(), String> {
 
 fn cmd_multiround(kmax: &str, c: &str, w: &str, z: &str) -> Result<(), String> {
     let kmax: usize = kmax.parse().map_err(|e| format!("bad kmax: {e}"))?;
+    if kmax == 0 {
+        return Err("kmax must be at least 1".into());
+    }
     let c: f64 = c.parse().map_err(|e| format!("bad startup: {e}"))?;
+    if !(c.is_finite() && c >= 0.0) {
+        return Err(format!("startup {c} is not finite and non-negative"));
+    }
     let net = parse_network(w, z)?;
     println!("{:>4} {:>12}", "k", "makespan");
     for (k, ms) in dls::dlt::multiround::round_sweep(&net, c, kmax) {
