@@ -84,10 +84,12 @@ fn signatures(c: &mut Criterion) {
     let registry = Registry::new(16, 42);
     let key = registry.keypair(3);
     let payload = 0.123456789f64;
-    c.bench_function("dsm_sign", |b| b.iter(|| black_box(key.sign(&payload))));
-    let sig = key.sign(&payload);
+    c.bench_function("dsm_sign", |b| {
+        b.iter(|| black_box(key.sign(black_box(payload))))
+    });
+    let sig = key.sign(payload);
     c.bench_function("dsm_verify", |b| {
-        b.iter(|| black_box(registry.verify(3, &payload, sig)))
+        b.iter(|| black_box(registry.verify(3, black_box(payload), sig)))
     });
 }
 

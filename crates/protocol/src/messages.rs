@@ -17,17 +17,17 @@ use crate::root::ARBITRATION_TOL;
 pub struct GMessage {
     /// `dsm_{i-2}(D_{i-1})` — load reaching the predecessor, vouched by the
     /// grandparent.
-    pub d_prev: Dsm<f64>,
+    pub d_prev: Dsm,
     /// `dsm_{i-1}(D_i)` — load the predecessor claims to forward to us.
-    pub d_cur: Dsm<f64>,
+    pub d_cur: Dsm,
     /// `dsm_{i-2}(w̄_{i-1})` — the predecessor's Phase I equivalent bid, as
     /// countersigned by the grandparent.
-    pub wbar_prev: Dsm<f64>,
+    pub wbar_prev: Dsm,
     /// `dsm_{i-1}(w_{i-1})` — the predecessor's raw processing rate claim.
-    pub w_prev: Dsm<f64>,
+    pub w_prev: Dsm,
     /// `dsm_{i-1}(w̄_i)` — our own Phase I bid echoed back, countersigned
     /// by the predecessor.
-    pub wbar_cur: Dsm<f64>,
+    pub wbar_cur: Dsm,
 }
 
 /// Why a `G_i` message was rejected by its recipient.
@@ -113,16 +113,16 @@ impl GMessage {
 pub struct LocalDecision {
     /// `D_p`, the load reaching the sender, vouched by the sender's parent
     /// (the root vouches for its own unit load).
-    pub d_prev: Dsm<f64>,
+    pub d_prev: Dsm,
     /// `D_c`, the load the sender claims to forward to the recipient.
-    pub d_cur: Dsm<f64>,
+    pub d_cur: Dsm,
     /// The sender's raw processing rate claim `w_p`.
-    pub w: Dsm<f64>,
+    pub w: Dsm,
     /// The sender's own Phase I equivalent `w̄_p` (unchecked at the root,
     /// whose equivalent nobody pays for).
-    pub wbar: Dsm<f64>,
+    pub wbar: Dsm,
     /// Every child's `(link rate, own-signed equivalent)`, in service order.
-    pub children: Vec<(f64, Dsm<f64>)>,
+    pub children: Vec<(f64, Dsm)>,
     /// The recipient's position in `children`.
     pub position: usize,
 }
@@ -133,7 +133,7 @@ impl LocalDecision {
     /// passes. The recipient's own equivalent is in the list under its own
     /// signature, so no echo check is needed.
     pub fn check(&self, registry: &Registry, [gp, p]: [NodeId; 2], i: NodeId) -> bool {
-        let own = |(_, e): &(f64, Dsm<f64>)| e.signer == i;
+        let own = |(_, e): &(f64, Dsm)| e.signer == i;
         let authentic = self.children.get(self.position).is_some_and(own)
             && self.d_prev.verify(registry, Some(gp))
             && [self.d_cur, self.w, self.wbar]
@@ -161,9 +161,9 @@ pub enum Complaint {
         /// The accused node.
         accused: NodeId,
         /// First signed value.
-        first: Dsm<f64>,
+        first: Dsm,
         /// Second, different signed value.
-        second: Dsm<f64>,
+        second: Dsm,
     },
     /// A `G` message failing the recipient's recomputation (Phase II).
     BadComputation {
@@ -237,7 +237,7 @@ pub struct PaymentProof {
     pub g: GMessage,
     /// The meter reading `dsm_0(w̃_j)` (signed by the root's key — the
     /// tamper-proof meter is the mechanism's instrument).
-    pub meter: Dsm<f64>,
+    pub meter: Dsm,
     /// The Λ receipt proof of the load actually received.
     pub tag: LoadTag,
     /// The load actually retained and computed (`α̃_j`).

@@ -268,7 +268,7 @@ pub(crate) fn run<P: Phases>(net: &P) -> Outcome {
             _ => honest,
         };
     }
-    let record_bid = |run: &mut Run, from: NodeId, message: Dsm<f64>| {
+    let record_bid = |run: &mut Run, from: NodeId, message: Dsm| {
         if P::TRANSCRIPT {
             let to = net.parent(from);
             run.transcript

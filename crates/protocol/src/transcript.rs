@@ -23,7 +23,7 @@ pub enum Entry {
         /// Receiver (the predecessor).
         to: NodeId,
         /// `dsm_from(w̄_from)`.
-        message: Dsm<f64>,
+        message: Dsm,
     },
     /// Phase II: `from` handed `G_to` to `to`.
     PhaseIIAllocation {
