@@ -72,14 +72,14 @@ impl Value {
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(v)
@@ -222,7 +222,7 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects open around the cursor.
     depth: usize,
@@ -257,7 +257,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -276,7 +276,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -372,9 +372,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{000C}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -388,13 +387,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. Both stops are ASCII, so the run is whole code
+                    // points.
+                    let rest = &self.text.as_bytes()[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -423,7 +425,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| ParseError {
@@ -592,5 +594,33 @@ mod tests {
         );
         assert!(Value::parse(r#""\u00g1""#).is_err());
         assert!(Value::parse(r#""\u00""#).is_err());
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_runs_and_escapes_round_trip() {
+        let cases = [
+            "é",
+            "naïve \"café\" ☃",
+            "\\€\\",
+            "日本語\n中文\t한국어",
+            "🦀\u{1}🦀\"",
+            "a\u{FFFD}b\\\"c",
+            "x".repeat(10_000).as_str(),
+        ]
+        .map(String::from);
+        for s in cases {
+            let v = Value::String(s.clone());
+            let json = v.to_json();
+            assert_eq!(Value::parse(&json).unwrap(), v, "{json:?}");
+            let object = format!(r#"{{{json}: {json}, "n": 1}}"#);
+            let parsed = Value::parse(&object).unwrap();
+            assert_eq!(parsed.as_object().unwrap()[0].0, s);
+            assert_eq!(parsed.get(&s).and_then(Value::as_str), Some(s.as_str()));
+        }
+        assert_eq!(
+            Value::parse(r#""é\u00e9\"ü""#).unwrap(),
+            Value::String("éé\"ü".into())
+        );
+        assert!(Value::parse("\"é").is_err(), "unterminated after a run");
     }
 }

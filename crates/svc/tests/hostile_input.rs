@@ -1,13 +1,21 @@
-//! Hostile input on the served surface: a line nested far deeper than
-//! `minijson::MAX_DEPTH` gets exactly one `error` line, on a shard and
-//! through a router, and the connection keeps serving. Without the depth
-//! cap the parser's recursion overflows the connection thread's stack and
-//! aborts the whole process.
+//! Hostile input on the served surface, on a shard and through a router:
+//!
+//! * a line nested far deeper than `minijson::MAX_DEPTH` gets exactly one
+//!   `error` line, and the connection keeps serving. Without the depth cap
+//!   the parser's recursion overflows the connection thread's stack and
+//!   aborts the whole process;
+//! * a `solve` line padded with a string field just under the 1 MiB line
+//!   cap is answered `ok` within a 5 s client timeout, and the connection
+//!   keeps serving. A string parser that rescans the rest of the input per
+//!   character takes minutes of CPU on that line.
 
 use minijson::{Value, MAX_DEPTH};
 use std::net::SocketAddr;
 use std::time::Duration;
-use svc::{serve, Client, Router, RouterConfig, RouterHandle, ServerConfig, ShardDirectory};
+use svc::{
+    serve, Client, ClientConfig, Router, RouterConfig, RouterHandle, ServerConfig, ShardDirectory,
+    MAX_LINE_BYTES,
+};
 
 /// 100 KB of `[`: well under the 1 MiB line cap, far past the depth cap.
 fn deep_line() -> String {
@@ -36,6 +44,43 @@ fn deep_then_solve(addr: SocketAddr) {
         "{ok:?}"
     );
     assert_eq!(ok.get("id").and_then(Value::as_i64), Some(7));
+}
+
+/// `SOLVE` with an extra string field that brings the line to just under
+/// [`MAX_LINE_BYTES`].
+fn padded_solve() -> String {
+    let head = r#"{"op":"solve","id":8,"root_rate":1.0,"links":[0.2,0.1],"bids":[2.0,0.5],"pad":""#;
+    let tail = r#""}"#;
+    let pad = "x".repeat(MAX_LINE_BYTES - 1 - head.len() - tail.len());
+    let line = format!("{head}{pad}{tail}");
+    assert_eq!(
+        line.len() + 1,
+        MAX_LINE_BYTES,
+        "the line and its newline fill the cap"
+    );
+    line
+}
+
+/// Send the padded solve, then a plain one, on one connection with a 5 s
+/// read timeout: both are answered `ok` under their own ids.
+fn padded_then_solve(addr: SocketAddr) {
+    let mut c = Client::connect_with(
+        addr,
+        ClientConfig {
+            read_timeout: Duration::from_secs(5),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect");
+    for (line, id) in [(padded_solve().as_str(), 8), (SOLVE, 7)] {
+        let ok = c.call(line).expect("answered within the timeout");
+        assert_eq!(
+            ok.get("status").and_then(Value::as_str),
+            Some("ok"),
+            "{ok:?}"
+        );
+        assert_eq!(ok.get("id").and_then(Value::as_i64), Some(id));
+    }
 }
 
 fn shard() -> svc::ServerHandle {
@@ -76,6 +121,30 @@ fn router_answers_a_too_deep_line_with_one_error_and_keeps_serving() {
     let shard = shard();
     let router = router_over(shard.addr());
     deep_then_solve(router.addr());
+    router.shutdown();
+    let routed = router.join();
+    assert_eq!(routed.received, 2, "{routed:?}");
+    shard.shutdown();
+    let ledger = shard.join();
+    assert!(ledger.conserved(), "drain ledger: {ledger:?}");
+    assert_eq!(ledger.received, routed.forward_attempts, "{ledger:?}");
+}
+
+#[test]
+fn shard_answers_a_megabyte_string_field_in_time_and_keeps_serving() {
+    let shard = shard();
+    padded_then_solve(shard.addr());
+    shard.shutdown();
+    let ledger = shard.join();
+    assert!(ledger.conserved(), "drain ledger: {ledger:?}");
+    assert_eq!(ledger.received, 2, "{ledger:?}");
+}
+
+#[test]
+fn router_answers_a_megabyte_string_field_in_time_and_keeps_serving() {
+    let shard = shard();
+    let router = router_over(shard.addr());
+    padded_then_solve(router.addr());
     router.shutdown();
     let routed = router.join();
     assert_eq!(routed.received, 2, "{routed:?}");
