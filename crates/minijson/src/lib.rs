@@ -1,19 +1,51 @@
-//! Minimal dependency-free JSON: a [`Value`] tree, a recursive-descent
-//! parser, and a writer.
+//! Minimal dependency-free JSON: a [`Value`] tree, a pull [`Parser`], and
+//! a writer.
 //!
 //! This exists because the build environment has no registry access, so
-//! `serde_json` is unavailable. The subset implemented is full JSON minus
-//! two deliberate simplifications: numbers are `f64` (adequate for rates,
+//! `serde_json` is unavailable. Numbers are `f64` (adequate for rates,
 //! probabilities and seeds up to 2^53), and object key order is preserved
-//! as written (lookups are linear — spec files are tiny).
+//! as written (lookups are linear; documents here are small).
+//!
+//! # Grammar
+//!
+//! The parser accepts exactly RFC 8259's JSON text, and refuses everything
+//! else with [`ParseErrorKind::Syntax`]:
+//! * numbers have no leading zeros and at least one digit on each side of
+//!   `.` and after `e`; a number that rounds to ±∞ (`1e400`) is refused,
+//!   while one that rounds to zero (`1e-400`) is 0;
+//! * a `\u` escape is exactly four hex digits; an escaped surrogate pair
+//!   (`"\ud83e\udd80"`) decodes to its one code point (🦀), and a lone
+//!   surrogate is refused;
+//! * strings hold no raw control characters (U+0000–U+001F).
 //!
 //! Nesting is capped at [`MAX_DEPTH`] arrays and objects, so the recursive
 //! descent cannot overflow the stack on hostile input: a deeper document
 //! fails with [`ParseErrorKind::TooDeep`].
+//!
+//! [`Value::parse`] is built on the pull [`Parser`], which a caller can
+//! also drive itself to decode a document without building a tree, e.g.
+//! a numeric array straight into a `Vec<f64>`.
+//!
+//! # Writer
+//!
+//! [`Value::to_json`] writes compactly, through [`write_number`] and
+//! [`write_string`], which callers can also use to write a document
+//! straight into a `String`. [`write_number`] writes `null` for a
+//! non-finite value, the `i64` digits of an integral value below 2^53 in
+//! magnitude (so `-0.0` is `0`), and otherwise exactly what
+//! `format!("{x}")` writes: the shortest digits that round-trip, closest
+//! to `x`, in Display's exponent-free layout (`1e21` is
+//! `1000000000000000000000`, `1e-7` is `0.0000001`). The digits come from
+//! an in-crate implementation of Ryū (Adams, PLDI 2018) whose tables are
+//! computed at compile time; see the `write` module.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
+mod write;
+
+pub use write::{write_i64, write_number, write_string};
+
+use std::borrow::Cow;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,17 +103,10 @@ impl std::error::Error for ParseError {}
 impl Value {
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            text,
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
+        let mut p = Parser::new(text);
+        p.peek();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.text.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -192,57 +217,130 @@ impl Value {
     }
 }
 
-fn write_number(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        // JSON has no Inf/NaN; null is the conventional degradation.
-        out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        let _ = write!(out, "{}", x as i64);
-    } else {
-        let _ = write!(out, "{x}");
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The end of the run of ASCII digits at `bytes[i..]`.
+fn digits_end(bytes: &[u8], mut i: usize) -> usize {
+    // Eight bytes at a time: a byte is a digit when its high nibble is 3
+    // and adding 6 leaves it so. Carries only run upwards, so the lowest
+    // flagged byte is the first non-digit.
+    const HIGH: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    const THREES: u64 = 0x3030_3030_3030_3030;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let flagged =
+            ((x & HIGH) ^ THREES) | ((x.wrapping_add(0x0606_0606_0606_0606) & HIGH) ^ THREES);
+        if flagged != 0 {
+            return i + (flagged.trailing_zeros() / 8) as usize;
         }
+        i += 8;
     }
-    out.push('"');
+    while i < bytes.len() && bytes[i].is_ascii_digit() {
+        i += 1;
+    }
+    i
 }
 
-struct Parser<'a> {
+/// A pull parser over one JSON document.
+///
+/// [`Value::parse`] is `peek`, `value`, `finish`. A caller that wants no
+/// tree walks the document itself:
+///
+/// ```
+/// use minijson::Parser;
+///
+/// let mut p = Parser::new(r#" {"xs": [1, 2.5], "tag": "a"} "#);
+/// assert_eq!(p.peek(), Some(b'{'));
+/// p.begin_object().unwrap();
+/// let mut xs = Vec::new();
+/// while let Some(key) = p.next_key().unwrap() {
+///     if key == "xs" && p.peek() == Some(b'[') {
+///         p.begin_array().unwrap();
+///         while p.next_element().unwrap() {
+///             xs.push(p.number().unwrap());
+///         }
+///     } else {
+///         p.value().unwrap();
+///     }
+/// }
+/// p.finish().unwrap();
+/// assert_eq!(xs, [1.0, 2.5]);
+/// ```
+///
+/// Every method that consumes text returns the same [`ParseError`] that
+/// [`Value::parse`] would for the same text.
+#[derive(Debug)]
+pub struct Parser<'a> {
     text: &'a str,
     pos: usize,
     /// Arrays and objects open around the cursor.
     depth: usize,
+    /// An array or object was just opened: the next `next_*` call reads
+    /// its first member or its closing bracket, not a separator.
+    fresh: bool,
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    #[cold]
     fn err(&self, message: &str) -> ParseError {
+        self.err_at(self.pos, message)
+    }
+
+    #[cold]
+    fn err_at(&self, offset: usize, message: &str) -> ParseError {
         ParseError {
-            offset: self.pos,
+            offset,
             kind: ParseErrorKind::Syntax,
             message: message.to_string(),
         }
     }
 
-    /// Parse the array or object at the cursor one level deeper, or fail
-    /// with [`ParseErrorKind::TooDeep`] past [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skip whitespace and return the next byte without consuming it: the
+    /// first byte of the next value, or `None` at the end of the text.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    /// After the document's one value: only whitespace may remain.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+        if self.byte() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    /// Open an array or object one level deeper, or fail with
+    /// [`ParseErrorKind::TooDeep`] past [`MAX_DEPTH`].
+    fn open(&mut self, bracket: u8) -> Result<(), ParseError> {
         if self.depth == MAX_DEPTH {
             return Err(ParseError {
                 offset: self.pos,
@@ -250,29 +348,64 @@ impl<'a> Parser<'a> {
                 message: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
             });
         }
+        self.expect(bracket)?;
         self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
+        self.fresh = true;
+        Ok(())
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    /// Step past the separator before the next member, or past the
+    /// closing bracket (returning `false`).
+    fn next_member(&mut self, close: u8, message: &str) -> Result<bool, ParseError> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b',') if !self.fresh => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                self.fresh = false;
+                Ok(false)
+            }
+            // The first member: the caller parses (or refuses) it.
+            _ if self.fresh => {
+                self.fresh = false;
+                Ok(true)
+            }
+            _ => Err(self.err(message)),
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
+    /// Consume the `{` at the cursor.
+    pub fn begin_object(&mut self) -> Result<(), ParseError> {
+        self.open(b'{')
+    }
+
+    /// The next member's key, with the cursor left on its value, or `None`
+    /// after the object's closing `}`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_member(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
         }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Consume the `[` at the cursor.
+    pub fn begin_array(&mut self) -> Result<(), ParseError> {
+        self.open(b'[')
+    }
+
+    /// Whether another element follows, with the cursor left on it;
+    /// `false` after the array's closing `]`.
+    pub fn next_element(&mut self) -> Result<bool, ParseError> {
+        self.next_member(b']', "expected ',' or ']' in array")
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
@@ -284,76 +417,56 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::String(self.string()?)),
+    /// The whole value at the cursor, as a tree.
+    pub fn value(&mut self) -> Result<Value, ParseError> {
+        match self.byte() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut members = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    members.push((key.into_owned(), self.value()?));
+                }
+                Ok(Value::Object(members))
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Value::Number(self.number()?)),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// The string at the cursor, borrowed from the text when it has no
+    /// escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
-            match self.peek() {
+            // The run up to the next quote, backslash or control byte: all
+            // ASCII, so the run is whole code points.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let piece = &self.text[self.pos..self.pos + run];
+            if out.is_empty() {
+                out = Cow::Borrowed(piece);
+            } else {
+                out.to_mut().push_str(piece);
+            }
+            self.pos += run;
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -361,78 +474,115 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for spec files;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.to_mut().push(c);
                 }
-                Some(_) => {
-                    // Copy the run up to the next quote or backslash in one
-                    // piece. Both stops are ASCII, so the run is whole code
-                    // points.
-                    let rest = &self.text.as_bytes()[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(&self.text[self.pos..self.pos + run]);
-                    self.pos += run;
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    /// The character of the escape after a `\`.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.byte() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                let at = self.pos;
+                let high = self.hex4()?;
+                let code = match high {
+                    0xD800..=0xDBFF => {
+                        // A high surrogate must be followed by an escaped
+                        // low one; the pair is one code point.
+                        if !self.text[self.pos + 1..].starts_with("\\u") {
+                            return Err(self.err_at(at, "unpaired surrogate in \\u escape"));
+                        }
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if !(0xDC00..=0xDFFF).contains(&low) {
+                            return Err(self.err_at(at, "unpaired surrogate in \\u escape"));
+                        }
+                        0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    0xDC00..=0xDFFF => {
+                        return Err(self.err_at(at, "unpaired surrogate in \\u escape"))
+                    }
+                    code => code,
+                };
+                char::from_u32(code).expect("surrogates are excluded")
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The four hex digits after the `u` at the cursor, which is left on
+    /// the last of them.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self
+            .text
+            .as_bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &h in hex {
+            let digit = (h as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// The number at the cursor.
+    pub fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let bytes = self.text.as_bytes();
+        let digits = |i| digits_end(bytes, i);
+        // Scan the longest run that looks numeric, then hold it to the
+        // grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+        let mut i = start + usize::from(bytes.get(start) == Some(&b'-'));
+        let int = i;
+        i = digits(i);
+        let mut ok = i == int + 1 || (i > int && bytes[int] != b'0');
+        if i < bytes.len() && bytes[i] == b'.' {
+            let frac = i + 1;
+            i = digits(frac);
+            ok &= i > frac;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+        if i < bytes.len() && matches!(bytes[i], b'e' | b'E') {
+            i += 1;
+            if i < bytes.len() && matches!(bytes[i], b'+' | b'-') {
+                i += 1;
             }
+            let exp = i;
+            i = digits(exp);
+            ok &= i > exp;
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+        self.pos = i;
+        let text = &self.text[start..i];
+        match text.parse::<f64>() {
+            Ok(x) if ok && x.is_finite() => Ok(x),
+            _ => Err(self.number_error(start, ok)),
         }
+    }
+
+    #[cold]
+    fn number_error(&self, start: usize, grammatical: bool) -> ParseError {
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| ParseError {
-                offset: start,
-                kind: ParseErrorKind::Syntax,
-                message: format!("bad number {text:?}"),
-            })
+        if grammatical {
+            self.err_at(start, &format!("number out of range {text:?}"))
+        } else {
+            self.err_at(start, &format!("bad number {text:?}"))
+        }
     }
 }
 
@@ -587,13 +737,145 @@ mod tests {
             Value::parse(r#""\u0041\u00e9\u2603""#).unwrap(),
             Value::String("Aé☃".into())
         );
-        // Lone surrogates degrade to U+FFFD rather than erroring.
+        // An escaped surrogate pair is one code point.
         assert_eq!(
-            Value::parse(r#""\ud800""#).unwrap(),
-            Value::String("\u{FFFD}".into())
+            Value::parse(r#""\ud83e\udd80""#).unwrap(),
+            Value::String("🦀".into())
         );
+        // Lone or misordered surrogates are refused, not replaced.
+        for bad in [
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800\n""#,
+            r#""\ud800\u0041""#,
+            r#""\udc00""#,
+            r#""\udd80\ud83e""#,
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{bad}");
+            assert_eq!(err.offset, 2, "{bad}");
+        }
         assert!(Value::parse(r#""\u00g1""#).is_err());
         assert!(Value::parse(r#""\u00""#).is_err());
+        // Exactly four hex digits: no sign.
+        assert!(Value::parse(r#""\u+041""#).is_err());
+        assert!(Value::parse(r#""\u-041""#).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (text, x) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e1", -5.0),
+            ("1E+2", 100.0),
+            ("1e-2", 0.01),
+            ("1e-400", 0.0),
+            ("1.7976931348623157e308", f64::MAX),
+        ] {
+            let v = Value::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(v.as_f64().map(f64::to_bits), Some(x.to_bits()), "{text}");
+        }
+        for bad in [
+            "01", "-01", "00", "1.", "-.5", ".5", "-", "1e", "1e+", "1.e5", "+1", "0x10",
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{bad}");
+        }
+        for big in ["1e400", "-1e400", "1.8e308"] {
+            let err = Value::parse(big).unwrap_err();
+            assert_eq!(err.offset, 0);
+            assert!(err.message.contains("out of range"), "{big}: {err}");
+        }
+        // Inside a document the offset is the number's first byte.
+        assert_eq!(Value::parse("[1, 02]").unwrap_err().offset, 4);
+    }
+
+    #[test]
+    fn digit_runs_end_at_the_first_non_digit() {
+        let naive =
+            |b: &[u8], i: usize| i + b[i..].iter().take_while(|c| c.is_ascii_digit()).count();
+        // Every byte value after runs of every length up to 20, at every
+        // alignment, so each 8-byte chunk meets each byte in each lane.
+        for len in 0..20 {
+            for stop in 0..=255u8 {
+                for lead in 0..3 {
+                    let mut b = vec![b'x'; lead];
+                    b.extend((0..len).map(|k| b'0' + (k * 7 % 10) as u8));
+                    b.push(stop);
+                    b.extend_from_slice(b"99999999");
+                    assert_eq!(digits_end(&b, lead), naive(&b, lead), "{b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused() {
+        for bad in ["\"a\tb\"", "\"\u{1}\"", "{\"k\u{1f}\":1}"] {
+            let err = Value::parse(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{bad:?}");
+        }
+        assert_eq!(
+            Value::parse(r#""a\tb""#).unwrap(),
+            Value::String("a\tb".into())
+        );
+    }
+
+    #[test]
+    fn pull_parser_reports_the_same_errors_as_value_parse() {
+        // Decode `{"xs": [numbers...]}` by hand and compare every failure
+        // with Value::parse's.
+        fn pull(text: &str) -> Result<Vec<f64>, ParseError> {
+            let mut p = Parser::new(text);
+            let mut xs = Vec::new();
+            if p.peek() == Some(b'{') {
+                p.begin_object()?;
+                while let Some(key) = p.next_key()? {
+                    if key == "xs" && p.peek() == Some(b'[') {
+                        p.begin_array()?;
+                        while p.next_element()? {
+                            if matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
+                                xs.push(p.number()?);
+                            } else {
+                                p.value()?;
+                            }
+                        }
+                    } else {
+                        p.value()?;
+                    }
+                }
+            } else {
+                p.value()?;
+            }
+            p.finish()?;
+            Ok(xs)
+        }
+        for text in [
+            r#"{"xs":[1,2.5,-3e2]}"#,
+            r#" { "xs" : [ 1 , 2 ] , "y" : {"z":[true,null]} } "#,
+            r#"{"xs":[1,2.5,-3e2]"#,
+            r#"{"xs":[1,,2]}"#,
+            r#"{"xs":[1 2]}"#,
+            r#"{"xs":[01]}"#,
+            r#"{"xs":[1e999]}"#,
+            r#"{"xs":["a",[1]]}"#,
+            r#"{"xs":[1],}"#,
+            r#"{,"xs":[1]}"#,
+            r#"{"xs" [1]}"#,
+            r#"{"xs":[1]} x"#,
+            r#"[1,2]"#,
+            r#""\ud800""#,
+            "",
+            "{",
+            "[",
+        ] {
+            let tree = Value::parse(text).map(|_| ());
+            assert_eq!(pull(text).map(|_| ()), tree, "{text}");
+        }
+        assert_eq!(pull(r#"{"xs":[1,"a",-2.5]}"#).unwrap(), [1.0, -2.5]);
     }
 
     #[test]
