@@ -1,9 +1,11 @@
 //! Request parsing and the per-endpoint handlers.
 //!
-//! The wire protocol is newline-delimited JSON, parsed with
-//! [`minijson::Value::parse`]. Every request is an object with an `"op"`
-//! and an optional integer `"id"` that is echoed verbatim in the response,
-//! so clients may pipeline requests and match completions out of order.
+//! The wire protocol is newline-delimited JSON, decoded with
+//! [`minijson::Parser`] in one pass: the numeric arrays (`links`, `bids`,
+//! `rates`) go straight into `Vec<f64>`, and every other member becomes a
+//! [`Value`]. Every request is an object with an `"op"` and an optional
+//! integer `"id"` that is echoed verbatim in the response, so clients may
+//! pipeline requests and match completions out of order.
 //!
 //! Work ops (`solve`, `ft_run`) are executed by the worker pool; control
 //! ops (`health`, `stats`, `shutdown`) are answered inline by the
@@ -12,14 +14,16 @@
 //! Solve reports are **canonical-deterministic**: the handler solves the
 //! quantized chain ([`crate::quant`]), so the serialized body is a pure
 //! function of the cache key and a cache hit returns bytes identical to
-//! the cold solve it replaced.
+//! the cold solve it replaced. Reports are written straight into one
+//! `String` with [`minijson::write_number`], with no `Value` tree.
 
 use crate::quant::{self, CanonicalChain};
 use crate::stats::Endpoint;
 use mechanism::{Agent, DlsLbl};
-use minijson::Value;
+use minijson::{write_i64, write_number, ParseError, Parser, Value};
 use protocol::ft_runner;
 use protocol::{FaultPlan, Scenario};
+use std::borrow::Cow;
 
 /// A parsed work request, ready for a worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,10 +161,13 @@ pub const MAX_JOB_ROUNDS: usize = 64;
 /// Largest accepted per-installment `comm_startup`.
 pub const MAX_COMM_STARTUP: f64 = 1e3;
 
-/// Largest accepted `ft_run` chain: a protocol run is O(m) messages and
-/// its recovery re-solves residual chains, so one oversized request must
-/// not hold a worker past any deadline.
-pub const MAX_FT_RUN_M: usize = 1024;
+/// Largest accepted chain on every op that carries one (`solve`, the job
+/// ops and `ft_run`): a solve and its settlement are O(m), a protocol run
+/// is O(m) messages whose recovery re-solves residual chains, so one
+/// oversized request must not hold a worker past any deadline. Decoding
+/// keeps no more than this many numbers of any array, so a 1 MiB array is
+/// refused without being built.
+pub const MAX_CHAIN_M: usize = 1024;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,35 +187,136 @@ pub struct Request {
     pub kind: RequestKind,
 }
 
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+/// A numeric array member as decoded.
+#[derive(Debug, Clone, PartialEq)]
+enum Numbers {
+    /// Not an array.
+    NotArray,
+    /// An array with an element that is not a number.
+    NonNumeric,
+    /// An all-numeric array of `len` elements, of which the first
+    /// [`MAX_CHAIN_M`] are kept.
+    Kept {
+        /// The leading elements.
+        values: Vec<f64>,
+        /// How many elements the array has.
+        len: usize,
+    },
 }
 
-fn vec_field(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    let arr = v
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing or non-array field {key:?}"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("non-numeric entry in {key:?}"))
+impl Numbers {
+    /// The value at the parser's cursor.
+    fn decode(p: &mut Parser) -> Result<Self, ParseError> {
+        if p.peek() != Some(b'[') {
+            p.value()?;
+            return Ok(Numbers::NotArray);
+        }
+        p.begin_array()?;
+        let mut values = Vec::new();
+        let mut len = 0;
+        let mut numeric = true;
+        while p.next_element()? {
+            if matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
+                let x = p.number()?;
+                if len < MAX_CHAIN_M {
+                    values.push(x);
+                }
+            } else {
+                p.value()?;
+                numeric = false;
+            }
+            len += 1;
+        }
+        Ok(if numeric {
+            Numbers::Kept { values, len }
+        } else {
+            Numbers::NonNumeric
         })
-        .collect()
+    }
+}
+
+/// A request line's members: `links`, `bids` and `rates` decoded as
+/// [`Numbers`], every other member as a [`Value`]. Lookups see the first
+/// member with a key, as [`Value::get`] does; a line that is not an object
+/// has no members.
+#[derive(Debug, Default, PartialEq)]
+struct Fields<'a> {
+    members: Vec<(Cow<'a, str>, Value)>,
+    links: Option<Numbers>,
+    bids: Option<Numbers>,
+    rates: Option<Numbers>,
+}
+
+impl<'a> Fields<'a> {
+    /// Decode a whole line; a syntax error anywhere fails it.
+    fn parse(line: &'a str) -> Result<Self, ParseError> {
+        let mut p = Parser::new(line);
+        let mut fields = Fields::default();
+        if p.peek() == Some(b'{') {
+            p.begin_object()?;
+            while let Some(key) = p.next_key()? {
+                match fields.slot(&key) {
+                    Some(slot) => {
+                        let numbers = Numbers::decode(&mut p)?;
+                        slot.get_or_insert(numbers);
+                    }
+                    None => {
+                        let value = p.value()?;
+                        fields.members.push((key, value));
+                    }
+                }
+            }
+        } else {
+            p.value()?;
+        }
+        p.finish()?;
+        Ok(fields)
+    }
+
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Numbers>> {
+        match key {
+            "links" => Some(&mut self.links),
+            "bids" => Some(&mut self.bids),
+            "rates" => Some(&mut self.rates),
+            _ => None,
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+    }
+
+    /// An array field's kept numbers and its full length.
+    fn vec_field(&self, key: &str) -> Result<(&[f64], usize), String> {
+        let slot = match key {
+            "links" => &self.links,
+            "bids" => &self.bids,
+            _ => &self.rates,
+        };
+        match slot {
+            Some(Numbers::Kept { values, len }) => Ok((values, *len)),
+            Some(Numbers::NonNumeric) => Err(format!("non-numeric entry in {key:?}")),
+            None | Some(Numbers::NotArray) => Err(format!("missing or non-array field {key:?}")),
+        }
+    }
 }
 
 /// Parse one request line. `quantum` is the solver-cache quantization
 /// step. Errors carry the request's `id` when one was parseable, so the
 /// error response stays matchable by pipelining clients.
 pub fn parse_request(line: &str, quantum: f64) -> Result<Request, (Option<i64>, String)> {
-    let v = Value::parse(line).map_err(|e| (None, e.to_string()))?;
-    let id = v.get("id").and_then(Value::as_i64);
-    parse_envelope(&v, quantum, id).map_err(|msg| (id, msg))
+    let fields = Fields::parse(line).map_err(|e| (None, e.to_string()))?;
+    let id = fields.get("id").and_then(Value::as_i64);
+    parse_envelope(&fields, quantum, id).map_err(|msg| (id, msg))
 }
 
-fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, String> {
+fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, String> {
     let deadline_ms = match v.get("deadline_ms") {
         None | Some(Value::Null) => None,
         Some(d) => Some(
@@ -246,9 +354,9 @@ fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, S
             };
             RequestKind::Reconfigure { quantum }
         }
-        "solve" => RequestKind::Work(WorkRequest::Solve(parse_chain(v, quantum)?)),
+        "solve" => RequestKind::Work(WorkRequest::Solve(parse_chain(v, op, quantum)?)),
         "submit_job" => {
-            let chain = parse_chain(v, quantum)?;
+            let chain = parse_chain(v, op, quantum)?;
             let load = match v.get("load") {
                 None | Some(Value::Null) => 1.0,
                 Some(l) => l
@@ -285,20 +393,20 @@ fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, S
             })
         }
         "job_status" => RequestKind::Job(JobOp::Status {
-            chain: parse_chain(v, quantum)?,
+            chain: parse_chain(v, op, quantum)?,
             job_id: job_id_field(v)?,
         }),
         "cancel_job" => RequestKind::Job(JobOp::Cancel {
-            chain: parse_chain(v, quantum)?,
+            chain: parse_chain(v, op, quantum)?,
             job_id: job_id_field(v)?,
         }),
         "ft_run" => {
-            let root_rate = f64_field(v, "root_rate")?;
-            let rates = vec_field(v, "rates")?;
-            let links = vec_field(v, "links")?;
-            if rates.len().max(links.len()) > MAX_FT_RUN_M {
+            let root_rate = v.f64_field("root_rate")?;
+            let (rates, rates_len) = v.vec_field("rates")?;
+            let (links, links_len) = v.vec_field("links")?;
+            if rates_len.max(links_len) > MAX_CHAIN_M {
                 return Err(format!(
-                    "ft_run takes at most {MAX_FT_RUN_M} rates and links"
+                    "ft_run takes at most {MAX_CHAIN_M} rates and links"
                 ));
             }
             let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(0);
@@ -324,8 +432,8 @@ fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, S
             };
             RequestKind::Work(WorkRequest::FtRun {
                 root_rate,
-                rates,
-                links,
+                rates: rates.to_vec(),
+                links: links.to_vec(),
                 seed,
                 crash,
             })
@@ -341,25 +449,39 @@ fn parse_envelope(v: &Value, quantum: f64, id: Option<i64>) -> Result<Request, S
 }
 
 /// The chain fields shared by `solve` and every job op.
-fn parse_chain(v: &Value, quantum: f64) -> Result<CanonicalChain, String> {
-    let root = f64_field(v, "root_rate")?;
-    let links = vec_field(v, "links")?;
-    let bids = vec_field(v, "bids")?;
-    quant::canonicalize(root, &links, &bids, quantum).ok_or_else(|| {
+fn parse_chain(v: &Fields, op: &str, quantum: f64) -> Result<CanonicalChain, String> {
+    let root = v.f64_field("root_rate")?;
+    let (links, links_len) = v.vec_field("links")?;
+    let (bids, bids_len) = v.vec_field("bids")?;
+    if links_len.max(bids_len) > MAX_CHAIN_M {
+        return Err(format!("{op} takes at most {MAX_CHAIN_M} links and bids"));
+    }
+    quant::canonicalize(root, links, bids, quantum).ok_or_else(|| {
         "invalid chain: rates must be finite, positive, representable, with links.len() == bids.len() >= 1"
             .to_string()
     })
 }
 
-fn job_id_field(v: &Value) -> Result<u64, String> {
+fn job_id_field(v: &Fields) -> Result<u64, String> {
     v.get("job_id")
         .and_then(Value::as_u64)
         .filter(|&id| id >= 1)
         .ok_or_else(|| "job_id must be a positive integer".to_string())
 }
 
-fn numbers(xs: impl IntoIterator<Item = f64>) -> Value {
-    Value::Array(xs.into_iter().map(Value::Number).collect())
+/// Bytes reserved per number when writing a report; a solve report's
+/// numbers average about 21 bytes with their separators.
+const NUMBER_BYTES: usize = 24;
+
+fn write_numbers(xs: impl IntoIterator<Item = f64>, out: &mut String) {
+    out.push('[');
+    for (i, x) in xs.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(x, out);
+    }
+    out.push(']');
 }
 
 /// Solve + settle the canonical chain and serialize the report. A pure
@@ -369,29 +491,25 @@ pub fn solve_body(chain: &CanonicalChain) -> String {
     let mech = DlsLbl::new(chain.root_rate, chain.link_rates.clone());
     let agents: Vec<Agent> = chain.bids.iter().map(|&b| Agent::new(b)).collect();
     let outcome = mech.settle_truthful(&agents);
-    let mut alloc = vec![outcome.root_load];
-    alloc.extend(outcome.agents.iter().map(|a| a.assigned_load));
-    Value::Object(vec![
-        ("m".into(), Value::Number(chain.key.m as f64)),
-        (
-            "makespan".into(),
-            Value::Number(outcome.solution.makespan()),
-        ),
-        ("alloc".into(), numbers(alloc)),
-        (
-            "payments".into(),
-            numbers(outcome.agents.iter().map(|a| a.breakdown.payment)),
-        ),
-        (
-            "utilities".into(),
-            numbers(outcome.agents.iter().map(|a| a.breakdown.utility)),
-        ),
-        (
-            "total_payment".into(),
-            Value::Number(outcome.total_payment()),
-        ),
-    ])
-    .to_json()
+    let agents = &outcome.agents;
+    let mut out = String::with_capacity(128 + NUMBER_BYTES * (3 * agents.len() + 3));
+    out.push_str("{\"m\":");
+    write_i64(chain.key.m as i64, &mut out);
+    out.push_str(",\"makespan\":");
+    write_number(outcome.solution.makespan(), &mut out);
+    out.push_str(",\"alloc\":");
+    let loads = agents.iter().map(|a| a.assigned_load);
+    write_numbers(std::iter::once(outcome.root_load).chain(loads), &mut out);
+    out.push_str(",\"payments\":");
+    write_numbers(agents.iter().map(|a| a.breakdown.payment), &mut out);
+    out.push_str(",\"utilities\":");
+    write_numbers(agents.iter().map(|a| a.breakdown.utility), &mut out);
+    out.push_str(",\"total_payment\":");
+    write_number(outcome.total_payment(), &mut out);
+    out.push('}');
+    // The cache keeps this string: hold no spare capacity.
+    out.shrink_to_fit();
+    out
 }
 
 /// Run a (possibly fault-injected) protocol execution and serialize the
@@ -415,47 +533,72 @@ pub fn ft_body(
     };
     plan.validate(rates.len()).map_err(|e| format!("{e:?}"))?;
     let report = ft_runner::run_with_faults(&scenario, &plan).map_err(|e| format!("{e:?}"))?;
-    Ok(Value::Object(vec![
-        ("m".into(), Value::Number(rates.len() as f64)),
-        ("makespan".into(), Value::Number(report.makespan)),
-        ("base_makespan".into(), Value::Number(report.base_makespan)),
-        ("overhead".into(), Value::Number(report.overhead())),
-        (
-            "load_conserved".into(),
-            Value::Bool(report.load_conserved(1e-9)),
-        ),
-        (
-            "crashed".into(),
-            numbers(report.crashed.iter().map(|&n| n as f64)),
-        ),
-        (
-            "utilities".into(),
-            numbers(report.net_utilities.iter().copied()),
-        ),
-    ])
-    .to_json())
+    let m = rates.len();
+    let mut out = String::with_capacity(160 + NUMBER_BYTES * (m + 3));
+    out.push_str("{\"m\":");
+    write_i64(m as i64, &mut out);
+    out.push_str(",\"makespan\":");
+    write_number(report.makespan, &mut out);
+    out.push_str(",\"base_makespan\":");
+    write_number(report.base_makespan, &mut out);
+    out.push_str(",\"overhead\":");
+    write_number(report.overhead(), &mut out);
+    out.push_str(",\"load_conserved\":");
+    out.push_str(if report.load_conserved(1e-9) {
+        "true"
+    } else {
+        "false"
+    });
+    out.push_str(",\"crashed\":");
+    write_numbers(report.crashed.iter().map(|&n| n as f64), &mut out);
+    out.push_str(",\"utilities\":");
+    write_numbers(report.net_utilities.iter().copied(), &mut out);
+    out.push('}');
+    Ok(out)
+}
+
+/// `{` and the echoed `"id":N,`, in a string with room for exactly `rest`
+/// more bytes.
+fn envelope(id: Option<i64>, rest: usize) -> String {
+    let id_len = id.map_or(0, |id| {
+        let digits = id
+            .unsigned_abs()
+            .checked_ilog10()
+            .map_or(1, |d| d as usize + 1);
+        "\"id\":,".len() + digits + usize::from(id < 0)
+    });
+    let mut out = String::with_capacity(1 + id_len + rest);
+    out.push('{');
+    if let Some(id) = id {
+        out.push_str("\"id\":");
+        write_i64(id, &mut out);
+        out.push(',');
+    }
+    out
 }
 
 fn id_prefix(id: Option<i64>) -> String {
-    match id {
-        Some(id) => format!("{{\"id\":{id},"),
-        None => "{".to_string(),
-    }
+    envelope(id, 0)
 }
 
-/// An `ok` response around a serialized result body.
+/// An `ok` response around a serialized result body, built in one
+/// allocation of exactly its length.
 pub fn ok_response(id: Option<i64>, cached: Option<bool>, body: &str) -> String {
+    const STATUS: &str = "\"status\":\"ok\",";
+    const RESULT: &str = "\"result\":";
     let cached = match cached {
         Some(true) => "\"cached\":true,",
         Some(false) => "\"cached\":false,",
         None => "",
     };
-    format!(
-        "{}\"status\":\"ok\",{}\"result\":{}}}",
-        id_prefix(id),
-        cached,
-        body
-    )
+    let rest = STATUS.len() + cached.len() + RESULT.len() + body.len() + 1;
+    let mut out = envelope(id, rest);
+    out.push_str(STATUS);
+    out.push_str(cached);
+    out.push_str(RESULT);
+    out.push_str(body);
+    out.push('}');
+    out
 }
 
 /// An `error` response (malformed request or failed execution).
@@ -779,14 +922,188 @@ mod tests {
             let xs = vec!["0.5"; m].join(",");
             format!(r#"{{"op":"ft_run","id":7,"root_rate":1.0,"rates":[{xs}],"links":[{xs}]}}"#)
         };
-        let (id, msg) = parse_request(&line(MAX_FT_RUN_M + 1), 1e-9).unwrap_err();
+        let (id, msg) = parse_request(&line(MAX_CHAIN_M + 1), 1e-9).unwrap_err();
         assert_eq!(id, Some(7));
         assert!(msg.contains("at most 1024"), "{msg}");
-        match parse_request(&line(MAX_FT_RUN_M), 1e-9).unwrap().kind {
+        match parse_request(&line(MAX_CHAIN_M), 1e-9).unwrap().kind {
             RequestKind::Work(WorkRequest::FtRun { rates, .. }) => {
-                assert_eq!(rates.len(), MAX_FT_RUN_M);
+                assert_eq!(rates.len(), MAX_CHAIN_M);
             }
             other => panic!("parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chain_ops_reject_chains_over_the_cap() {
+        let line = |op: &str, m: usize| {
+            let xs = vec!["0.5"; m].join(",");
+            format!(
+                r#"{{"op":"{op}","id":7,"root_rate":1.0,"links":[{xs}],"bids":[{xs}],"job_id":3}}"#
+            )
+        };
+        for op in ["solve", "submit_job", "job_status", "cancel_job"] {
+            let (id, msg) = parse_request(&line(op, MAX_CHAIN_M + 1), 1e-9).unwrap_err();
+            assert_eq!(id, Some(7));
+            assert_eq!(msg, format!("{op} takes at most 1024 links and bids"));
+            let chain = match parse_request(&line(op, MAX_CHAIN_M), 1e-9).unwrap().kind {
+                RequestKind::Work(WorkRequest::Solve(chain)) => chain,
+                RequestKind::Job(job) => match job {
+                    JobOp::Submit { chain, .. }
+                    | JobOp::Status { chain, .. }
+                    | JobOp::Cancel { chain, .. } => chain,
+                },
+                other => panic!("parsed as {other:?}"),
+            };
+            assert_eq!(chain.key.m, MAX_CHAIN_M, "{op}");
+        }
+        // Either array over the cap is refused, after both are checked for
+        // type errors.
+        let lopsided = r#"{"op":"solve","root_rate":1.0,"links":[0.5],"bids":[BIDS]}"#
+            .replace("BIDS", &vec!["0.5"; MAX_CHAIN_M + 1].join(","));
+        assert!(parse_request(&lopsided, 1e-9)
+            .unwrap_err()
+            .1
+            .contains("at most"));
+        let typed = lopsided.replace(r#""links":[0.5]"#, r#""links":["a"]"#);
+        assert_eq!(
+            parse_request(&typed, 1e-9).unwrap_err().1,
+            "non-numeric entry in \"links\""
+        );
+    }
+
+    /// The `Value`-tree decoding that [`Fields::parse`] replaced: the first
+    /// member with each key, array fields held to the same [`Numbers`].
+    fn fields_from_tree(v: &Value) -> Fields<'_> {
+        let mut fields = Fields::default();
+        for (key, value) in v.as_object().unwrap_or(&[]) {
+            match fields.slot(key) {
+                Some(slot) => {
+                    let numbers = match value.as_array() {
+                        None => Numbers::NotArray,
+                        Some(items) => match items.iter().map(Value::as_f64).collect() {
+                            None => Numbers::NonNumeric,
+                            Some(values) => {
+                                let mut values: Vec<f64> = values;
+                                let len = values.len();
+                                values.truncate(MAX_CHAIN_M);
+                                Numbers::Kept { values, len }
+                            }
+                        },
+                    };
+                    slot.get_or_insert(numbers);
+                }
+                None => fields
+                    .members
+                    .push((Cow::Borrowed(key.as_str()), value.clone())),
+            }
+        }
+        fields
+    }
+
+    /// `parse_request` through [`Value::parse`] and [`fields_from_tree`].
+    fn parse_request_via_tree(line: &str, quantum: f64) -> Result<Request, (Option<i64>, String)> {
+        let tree = Value::parse(line).map_err(|e| (None, e.to_string()))?;
+        let fields = fields_from_tree(&tree);
+        let id = fields.get("id").and_then(Value::as_i64);
+        parse_envelope(&fields, quantum, id).map_err(|msg| (id, msg))
+    }
+
+    #[test]
+    fn pull_decoding_matches_tree_decoding() {
+        // Splitmix64.
+        let mut state = 0x2026_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as usize
+        };
+        let seeds = [
+            r#"{"op":"solve","id":7,"root_rate":1.0,"links":[0.2,0.1],"bids":[2.0,0.5]}"#,
+            r#"{"op":"submit_job","id":9,"root_rate":1.0,"links":[0.2],"bids":[2.0],"load":2.5,"rounds":4,"comm_startup":0.05}"#,
+            r#"{"op":"job_status","root_rate":1.0,"links":[0.2],"bids":[2.0],"job_id":7}"#,
+            r#"{"op":"cancel_job","id":-2,"root_rate":1.0,"links":[0.2],"bids":[2.0],"job_id":0}"#,
+            r#"{"op":"ft_run","id":3,"root_rate":1.0,"rates":[2.0,0.5],"links":[0.2,0.1],"seed":5,"crash":{"node":1,"phase":2,"progress":0.25}}"#,
+            r#"{"op":"reconfigure","quantum":1e-6,"deadline_ms":250,"trace":42}"#,
+            r#"{"op":"health","id":1}"#,
+            r#"{"op":"solve","id":4,"root_rate":1.0,"links":[0.2,"x"],"bids":[2.0,0.5]}"#,
+            r#"[{"op":"solve"}]"#,
+        ];
+        let fillers = [
+            "null",
+            "true",
+            "\"x\"",
+            "[1,\"a\"]",
+            "{\"a\":1}",
+            "-1.5",
+            "1e300",
+            "[]",
+            "[[1]]",
+            "[0.3,0.4]",
+            "7",
+            "\"solve\"",
+        ];
+        let mut lines: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
+        for seed in seeds {
+            let members = Value::parse(seed)
+                .unwrap()
+                .as_object()
+                .map(<[_]>::to_vec)
+                .unwrap_or_default();
+            for _ in 0..400 {
+                let mut m = members.clone();
+                if m.is_empty() {
+                    break;
+                }
+                match next() % 3 {
+                    // Reordered keys.
+                    0 => {
+                        for i in (1..m.len()).rev() {
+                            m.swap(i, next() % (i + 1));
+                        }
+                    }
+                    // A duplicate key with another value, before or after.
+                    1 => {
+                        let (key, _) = m[next() % m.len()].clone();
+                        let value = Value::parse(fillers[next() % fillers.len()]).unwrap();
+                        m.insert(next() % (m.len() + 1), (key, value));
+                    }
+                    // A value of the wrong type.
+                    _ => {
+                        let i = next() % m.len();
+                        m[i].1 = Value::parse(fillers[next() % fillers.len()]).unwrap();
+                    }
+                }
+                lines.push(Value::Object(m).to_json());
+            }
+        }
+        // Truncations and byte flips of every line so far.
+        let bytes = b"{}[],:\"\\ -.e0159tfnu";
+        for line in lines.clone() {
+            for _ in 0..8 {
+                let cut = next() % line.len();
+                lines.push(line[..cut].to_string());
+                let mut flipped = line.clone().into_bytes();
+                flipped[next() % line.len()] = bytes[next() % bytes.len()];
+                lines.push(String::from_utf8(flipped).unwrap());
+            }
+        }
+        assert!(lines.len() > 30_000, "{}", lines.len());
+        for line in &lines {
+            let tree = Value::parse(line);
+            assert_eq!(
+                Fields::parse(line).map_err(|e| e.to_string()),
+                tree.as_ref()
+                    .map(fields_from_tree)
+                    .map_err(|e| e.to_string()),
+                "{line}"
+            );
+            assert_eq!(
+                parse_request(line, 1e-9),
+                parse_request_via_tree(line, 1e-9),
+                "{line}"
+            );
         }
     }
 

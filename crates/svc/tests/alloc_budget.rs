@@ -9,7 +9,9 @@
 //! * `parse_request` of a `solve` line and `solve_body` of its chain at
 //!   m = 4, 16 and 64;
 //! * `ok_response` around a 6- and a 64-processor solve body;
-//! * an honest m = 4 `ft_body`.
+//! * an honest m = 4 `ft_body`;
+//!
+//! and that a solve body and an `ok` line hold no spare capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,11 +107,7 @@ fn chain(m: usize) -> CanonicalChain {
 
 #[test]
 fn parse_request_allocations_are_pinned() {
-    for (m, want) in [
-        (4, budget(14, 1)),
-        (16, budget(14, 13)),
-        (64, budget(14, 25)),
-    ] {
+    for (m, want) in [(4, budget(7, 0)), (16, budget(7, 8)), (64, budget(7, 16))] {
         let line = solve_line(m);
         let (parsed, counts) = counted(|| handlers::parse_request(&line, svc::DEFAULT_QUANTUM));
         assert!(parsed.is_ok());
@@ -119,24 +117,23 @@ fn parse_request_allocations_are_pinned() {
 
 #[test]
 fn solve_body_allocations_are_pinned() {
-    for (m, want) in [
-        (4, budget(28, 7)),
-        (16, budget(28, 9)),
-        (64, budget(28, 11)),
-    ] {
+    for (m, want) in [(4, budget(17, 1)), (16, budget(17, 1)), (64, budget(17, 1))] {
         let chain = chain(m);
         let (body, counts) = counted(|| handlers::solve_body(&chain));
         assert!(body.starts_with("{\"m\":"));
+        // The cache keeps the body: no spare capacity.
+        assert_eq!(body.capacity(), body.len(), "m = {m}");
         assert_eq!(counts, want, "m = {m}");
     }
 }
 
 #[test]
 fn ok_response_allocations_are_pinned() {
-    for (m, want) in [(6, budget(2, 2)), (64, budget(2, 2))] {
+    for (m, want) in [(6, budget(1, 0)), (64, budget(1, 0))] {
         let body = handlers::solve_body(&chain(m));
         let (line, counts) = counted(|| handlers::ok_response(Some(7), Some(true), &body));
         assert!(line.ends_with(&format!("{body}}}")));
+        assert_eq!(line.capacity(), line.len(), "m = {m}");
         assert_eq!(counts, want, "m = {m}");
     }
 }
@@ -147,5 +144,5 @@ fn honest_ft_body_allocations_are_pinned() {
     let links = [0.2, 0.1, 0.7, 0.3];
     let (body, counts) = counted(|| handlers::ft_body(1.0, &rates, &links, 42, None));
     assert!(body.is_ok());
-    assert_eq!(counts, budget(64, 13));
+    assert_eq!(counts, budget(55, 8));
 }

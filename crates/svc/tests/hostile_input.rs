@@ -7,11 +7,15 @@
 //! * a `solve` line padded with a string field just under the 1 MiB line
 //!   cap is answered `ok` within a 5 s client timeout, and the connection
 //!   keeps serving. A string parser that rescans the rest of the input per
-//!   character takes minutes of CPU on that line.
+//!   character takes minutes of CPU on that line;
+//! * a `solve` whose `links` array fills the 1 MiB line cap (≈262k numbers,
+//!   far past `MAX_CHAIN_M`) gets one typed `error` line under its id, and
+//!   the connection keeps serving.
 
 use minijson::{Value, MAX_DEPTH};
 use std::net::SocketAddr;
 use std::time::Duration;
+use svc::handlers::MAX_CHAIN_M;
 use svc::{
     serve, Client, ClientConfig, Router, RouterConfig, RouterHandle, ServerConfig, ShardDirectory,
     MAX_LINE_BYTES,
@@ -83,6 +87,37 @@ fn padded_then_solve(addr: SocketAddr) {
     }
 }
 
+/// A `solve` whose `links` array brings the line to just under
+/// [`MAX_LINE_BYTES`].
+fn oversized_solve() -> String {
+    let head = r#"{"op":"solve","id":9,"root_rate":1.0,"bids":[2.0],"links":["#;
+    let tail = "0.5]}";
+    let n = (MAX_LINE_BYTES - 1 - head.len() - tail.len()) / 4;
+    let line = format!("{head}{}{tail}", "0.5,".repeat(n));
+    assert!(line.len() < MAX_LINE_BYTES && n > 200 * MAX_CHAIN_M);
+    line
+}
+
+/// Send the oversized solve, then a plain one, on one connection: the
+/// first is refused under its id, the second answered `ok`.
+fn oversized_then_solve(addr: SocketAddr) {
+    let mut c = Client::connect(addr).expect("connect");
+    let err = c.call(&oversized_solve()).expect("answer to the big line");
+    assert_eq!(err.get("status").and_then(Value::as_str), Some("error"));
+    assert_eq!(err.get("id").and_then(Value::as_i64), Some(9));
+    assert_eq!(
+        err.get("error").and_then(Value::as_str),
+        Some(format!("solve takes at most {MAX_CHAIN_M} links and bids").as_str())
+    );
+    let ok = c.call(SOLVE).expect("the connection still serves");
+    assert_eq!(
+        ok.get("status").and_then(Value::as_str),
+        Some("ok"),
+        "{ok:?}"
+    );
+    assert_eq!(ok.get("id").and_then(Value::as_i64), Some(7));
+}
+
 fn shard() -> svc::ServerHandle {
     serve(ServerConfig {
         workers: 1,
@@ -145,6 +180,30 @@ fn router_answers_a_megabyte_string_field_in_time_and_keeps_serving() {
     let shard = shard();
     let router = router_over(shard.addr());
     padded_then_solve(router.addr());
+    router.shutdown();
+    let routed = router.join();
+    assert_eq!(routed.received, 2, "{routed:?}");
+    shard.shutdown();
+    let ledger = shard.join();
+    assert!(ledger.conserved(), "drain ledger: {ledger:?}");
+    assert_eq!(ledger.received, routed.forward_attempts, "{ledger:?}");
+}
+
+#[test]
+fn shard_refuses_an_oversized_chain_and_keeps_serving() {
+    let shard = shard();
+    oversized_then_solve(shard.addr());
+    shard.shutdown();
+    let ledger = shard.join();
+    assert!(ledger.conserved(), "drain ledger: {ledger:?}");
+    assert_eq!(ledger.received, 2, "{ledger:?}");
+}
+
+#[test]
+fn router_refuses_an_oversized_chain_and_keeps_serving() {
+    let shard = shard();
+    let router = router_over(shard.addr());
+    oversized_then_solve(router.addr());
     router.shutdown();
     let routed = router.join();
     assert_eq!(routed.received, 2, "{routed:?}");
