@@ -24,6 +24,8 @@
 //! with exact big-integer arithmetic; a unit test checks every entry's
 //! defining inequality.
 
+use std::fmt::Write as _;
+
 /// Bits kept of each `5^i` and `2^k/5^i` multiplier (Ryū's
 /// `DOUBLE_POW5_BITCOUNT` and `DOUBLE_POW5_INV_BITCOUNT`).
 const POW5_BITS: u32 = 125;
@@ -336,15 +338,12 @@ pub fn write_number(x: f64, out: &mut String) {
         }
     }
     let bits = x.to_bits();
-    let (mut digits, mut exp) = shortest(bits & ((1 << 52) - 1), (bits >> 52) as u32 & 0x7ff);
-    while digits % 10 == 0 {
-        digits /= 10;
-        exp += 1;
-    }
-    // `-`, then at most 17 digits, a point, and up to 40 zeros in one
-    // buffer; the rare longer layouts push their zeros separately.
-    let mut buf = [0u8; 64];
-    let end = 40;
+    let (digits, exp) = shortest(bits & ((1 << 52) - 1), (bits >> 52) as u32 & 0x7ff);
+    // The digits (at most 17) end the buffer; a point, or `0.` and leading
+    // zeros, go in front of them while they fit. Longer layouts push their
+    // zeros separately.
+    let mut buf = [0u8; 40];
+    let end = buf.len();
     let start = digits_before(digits, &mut buf, end);
     let n = (end - start) as i32;
     if x < 0.0 {
@@ -380,29 +379,19 @@ pub fn write_number(x: f64, out: &mut String) {
 /// control character.
 pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        run = i + 1;
-        if escape.is_empty() {
-            const HEX: &[u8; 16] = b"0123456789abcdef";
-            out.push_str("\\u00");
-            out.push(HEX[usize::from(b >> 4)] as char);
-            out.push(HEX[usize::from(b & 0xf)] as char);
-        } else {
-            out.push_str(escape);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
-    out.push_str(&s[run..]);
     out.push('"');
 }
 
