@@ -291,19 +291,14 @@ impl<'a> Fields<'a> {
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
     }
+}
 
-    /// An array field's kept numbers and its full length.
-    fn vec_field(&self, key: &str) -> Result<(&[f64], usize), String> {
-        let slot = match key {
-            "links" => &self.links,
-            "bids" => &self.bids,
-            _ => &self.rates,
-        };
-        match slot {
-            Some(Numbers::Kept { values, len }) => Ok((values, *len)),
-            Some(Numbers::NonNumeric) => Err(format!("non-numeric entry in {key:?}")),
-            None | Some(Numbers::NotArray) => Err(format!("missing or non-array field {key:?}")),
-        }
+/// The array field `key`'s kept numbers and its full length.
+fn vec_field<'s>(slot: &'s Option<Numbers>, key: &str) -> Result<(&'s [f64], usize), String> {
+    match slot {
+        Some(Numbers::Kept { values, len }) => Ok((values, *len)),
+        Some(Numbers::NonNumeric) => Err(format!("non-numeric entry in {key:?}")),
+        None | Some(Numbers::NotArray) => Err(format!("missing or non-array field {key:?}")),
     }
 }
 
@@ -402,8 +397,8 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
         }),
         "ft_run" => {
             let root_rate = v.f64_field("root_rate")?;
-            let (rates, rates_len) = v.vec_field("rates")?;
-            let (links, links_len) = v.vec_field("links")?;
+            let (rates, rates_len) = vec_field(&v.rates, "rates")?;
+            let (links, links_len) = vec_field(&v.links, "links")?;
             if rates_len.max(links_len) > MAX_CHAIN_M {
                 return Err(format!(
                     "ft_run takes at most {MAX_CHAIN_M} rates and links"
@@ -451,8 +446,8 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
 /// The chain fields shared by `solve` and every job op.
 fn parse_chain(v: &Fields, op: &str, quantum: f64) -> Result<CanonicalChain, String> {
     let root = v.f64_field("root_rate")?;
-    let (links, links_len) = v.vec_field("links")?;
-    let (bids, bids_len) = v.vec_field("bids")?;
+    let (links, links_len) = vec_field(&v.links, "links")?;
+    let (bids, bids_len) = vec_field(&v.bids, "bids")?;
     if links_len.max(bids_len) > MAX_CHAIN_M {
         return Err(format!("{op} takes at most {MAX_CHAIN_M} links and bids"));
     }
