@@ -417,7 +417,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// The whole value at the cursor, as a tree.
+    /// The whole value at the cursor, as a tree. The cursor is where
+    /// [`peek`](Self::peek), [`next_key`](Self::next_key) and
+    /// [`next_element`](Self::next_element) leave it, past any whitespace.
     pub fn value(&mut self) -> Result<Value, ParseError> {
         match self.byte() {
             Some(b'{') => {
@@ -542,7 +544,8 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    /// The number at the cursor.
+    /// The number at the cursor, which is past any whitespace as for
+    /// [`value`](Self::value).
     pub fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         let bytes = self.text.as_bytes();

@@ -285,12 +285,12 @@ impl<'a> Fields<'a> {
     fn get(&self, key: &str) -> Option<&Value> {
         self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
+}
 
-    fn f64_field(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-    }
+fn f64_field(v: &Fields, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
 }
 
 /// The array field `key`'s kept numbers and its full length.
@@ -396,7 +396,7 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
             job_id: job_id_field(v)?,
         }),
         "ft_run" => {
-            let root_rate = v.f64_field("root_rate")?;
+            let root_rate = f64_field(v, "root_rate")?;
             let (rates, rates_len) = vec_field(&v.rates, "rates")?;
             let (links, links_len) = vec_field(&v.links, "links")?;
             if rates_len.max(links_len) > MAX_CHAIN_M {
@@ -445,7 +445,7 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
 
 /// The chain fields shared by `solve` and every job op.
 fn parse_chain(v: &Fields, op: &str, quantum: f64) -> Result<CanonicalChain, String> {
-    let root = v.f64_field("root_rate")?;
+    let root = f64_field(v, "root_rate")?;
     let (links, links_len) = vec_field(&v.links, "links")?;
     let (bids, bids_len) = vec_field(&v.bids, "bids")?;
     if links_len.max(bids_len) > MAX_CHAIN_M {
@@ -572,10 +572,6 @@ fn envelope(id: Option<i64>, rest: usize) -> String {
     out
 }
 
-fn id_prefix(id: Option<i64>) -> String {
-    envelope(id, 0)
-}
-
 /// An `ok` response around a serialized result body, built in one
 /// allocation of exactly its length.
 pub fn ok_response(id: Option<i64>, cached: Option<bool>, body: &str) -> String {
@@ -600,7 +596,7 @@ pub fn ok_response(id: Option<i64>, cached: Option<bool>, body: &str) -> String 
 pub fn error_response(id: Option<i64>, message: &str) -> String {
     format!(
         "{}\"status\":\"error\",\"error\":{}}}",
-        id_prefix(id),
+        envelope(id, 0),
         Value::String(message.to_string()).to_json()
     )
 }
@@ -609,7 +605,7 @@ pub fn error_response(id: Option<i64>, message: &str) -> String {
 pub fn rejected_response(id: Option<i64>, retry_after_ms: u64, draining: bool) -> String {
     format!(
         "{}\"status\":\"rejected\",\"reason\":\"{}\",\"retry_after_ms\":{}}}",
-        id_prefix(id),
+        envelope(id, 0),
         if draining { "draining" } else { "backpressure" },
         retry_after_ms
     )
@@ -621,7 +617,7 @@ pub fn rejected_response(id: Option<i64>, retry_after_ms: u64, draining: bool) -
 pub fn unavailable_response(id: Option<i64>, retry_after_ms: u64) -> String {
     format!(
         "{}\"status\":\"rejected\",\"reason\":\"unavailable\",\"retry_after_ms\":{}}}",
-        id_prefix(id),
+        envelope(id, 0),
         retry_after_ms
     )
 }
@@ -639,7 +635,7 @@ pub fn conn_limit_response(retry_after_ms: u64) -> String {
 pub fn timeout_response(id: Option<i64>, deadline_ms: u64) -> String {
     format!(
         "{}\"status\":\"timeout\",\"deadline_ms\":{}}}",
-        id_prefix(id),
+        envelope(id, 0),
         deadline_ms
     )
 }
