@@ -412,61 +412,3 @@ pub(crate) fn run<P: Phases>(net: &P) -> Outcome {
     base.transcript = run.transcript;
     (base, received, audited, exec.gantt)
 }
-
-#[cfg(test)]
-mod tests {
-    use crate::deviation::Deviation;
-    use crate::faults::FaultPlan;
-    use crate::lambda::probe;
-    use crate::runner::{try_run, Scenario};
-    use crate::tree_runner::{run_tree, TreeScenario};
-    use dlt::model::TreeNode;
-
-    fn chain() -> Scenario {
-        Scenario::honest(1.0, vec![2.0, 0.5, 4.0, 1.5], vec![0.2, 0.1, 0.7, 0.3]).with_seed(11)
-    }
-
-    /// Λ tables a closure draws on this thread.
-    fn draws_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let before = probe::draws();
-        let out = f();
-        (out, probe::draws() - before)
-    }
-
-    #[test]
-    fn fault_free_runs_leave_the_mint_undrawn() {
-        let (report, draws) = draws_in(|| try_run(&chain()).unwrap());
-        assert!(report.clean() && !report.transcript.is_empty());
-        assert_eq!(draws, 0, "honest chain run drew the Λ ids");
-
-        let shape = TreeNode::internal(
-            1.0,
-            vec![
-                (
-                    0.2,
-                    TreeNode::internal(1.0, vec![(0.1, TreeNode::leaf(1.0))]),
-                ),
-                (0.3, TreeNode::leaf(1.0)),
-            ],
-        );
-        let tree = TreeScenario::honest(shape, vec![2.0, 0.5, 4.0]);
-        let (report, draws) = draws_in(|| run_tree(&tree));
-        assert!(report.clean());
-        assert_eq!(draws, 0, "honest tree run drew the Λ ids");
-
-        for plan in [FaultPlan::none(), FaultPlan::crash(2, 1, 0.37)] {
-            let (report, draws) =
-                draws_in(|| crate::ft_runner::run_with_faults(&chain(), &plan).unwrap());
-            assert!(report.load_conserved(1e-9));
-            assert_eq!(draws, 0, "ft run under {plan:?} drew the Λ ids");
-        }
-    }
-
-    #[test]
-    fn an_overload_grievance_draws_the_mint_once() {
-        let shed = chain().with_deviation(2, Deviation::ShedLoad { keep_fraction: 0.5 });
-        let (report, draws) = draws_in(|| try_run(&shed).unwrap());
-        assert!(report.convictions().any(|a| a.complaint == "overload"));
-        assert_eq!(draws, 1, "the victim's check and the root's share one draw");
-    }
-}

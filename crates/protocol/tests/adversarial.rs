@@ -204,7 +204,7 @@ proptest! {
         let mut doubled = genuine.ids().to_vec();
         doubled.push(doubled[dup_at % n]);
         let mut glued = mint.range(0, blocks / 2 + 1).ids().to_vec();
-        glued.extend_from_slice(mint.range(blocks / 2, blocks - blocks / 2).ids());
+        glued.extend_from_slice(&mint.range(blocks / 2, blocks - blocks / 2).ids());
         for bad in [guessed, foreign, LoadTag::from_ids(doubled), LoadTag::from_ids(glued)] {
             prop_assert_eq!(mint.verify(&bad), None, "{:?}", bad);
             prop_assert_eq!(replay.verify(&bad), None, "{:?}", bad);

@@ -144,5 +144,5 @@ fn honest_ft_body_allocations_are_pinned() {
     let links = [0.2, 0.1, 0.7, 0.3];
     let (body, counts) = counted(|| handlers::ft_body(1.0, &rates, &links, 42, None));
     assert!(body.is_ok());
-    assert_eq!(counts, budget(55, 8));
+    assert_eq!(counts, budget(54, 8));
 }

@@ -203,13 +203,13 @@ proptest! {
             let (b, tag_b) = (&pair[1].0, &pair[1].1);
             prop_assert_eq!(*b, *a + 1);
             prop_assert!(
-                tag_a.ids().ends_with(tag_b.ids()),
+                tag_a.ids().ends_with(&tag_b.ids()),
                 "delivery to P{} is not a suffix of delivery to P{}", b, a
             );
         }
         for (to, tag) in &deliveries {
             prop_assert!(
-                full.ids().ends_with(tag.ids()),
+                full.ids().ends_with(&tag.ids()),
                 "delivery to P{} is not a suffix of the block space", to
             );
             prop_assert!(mint.verify(tag).is_some(), "genuine tag failed verification");
