@@ -35,13 +35,20 @@ fn full_run(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Λ mint at a protocol run's 10,000 blocks: minting, one chain
+/// The Λ mint at a protocol run's 10,000 blocks: reading the ids of half
+/// the load from a fresh mint (a run's first read of a receipt), one chain
 /// receipt (the tail of the load a node received), and verifying half the
 /// load as a range of the verifier's own mint and as ids held outright.
 fn lambda(c: &mut Criterion) {
     const BLOCKS: usize = 10_000;
     let mut group = c.benchmark_group("lambda");
-    group.bench_function("mint", |b| b.iter(|| black_box(BlockMint::new(BLOCKS, 42))));
+    group.bench_function("ids", |b| {
+        b.iter(|| {
+            let tag = BlockMint::new(BLOCKS, 42).range(BLOCKS / 2, BLOCKS / 2);
+            let ids = tag.ids();
+            black_box(&ids);
+        })
+    });
     let mint = BlockMint::new(BLOCKS, 42);
     group.bench_function("chain_receipt", |b| {
         b.iter(|| black_box(mint.range(BLOCKS / 2, BLOCKS / 2)))
