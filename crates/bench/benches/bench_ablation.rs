@@ -4,10 +4,8 @@
 //!   exactness);
 //! * far-end-first reduction (Algorithm 1) vs bisection fixed-point
 //!   baseline (algorithmic choice);
-//! * sequential vs rayon-parallel sweep driver (experiment harness);
 //! * DES execution vs closed-form schedule evaluation (simulation cost).
 
-use bench::{par_sweep, seq_sweep};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlt::baseline::{solve_bisection, BisectionParams};
 use dlt::exact::ExactChain;
@@ -45,24 +43,6 @@ fn algorithm(c: &mut Criterion) {
             b.iter(|| black_box(solve_bisection(net, BisectionParams::default())))
         });
     }
-    group.finish();
-}
-
-fn sweep_driver(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_sweep_driver");
-    group.sample_size(10);
-    let cfg = ChainConfig {
-        processors: 16,
-        ..Default::default()
-    };
-    let work = move |seed: u64| {
-        let net = workloads::chain(&cfg, seed);
-        linear::solve(&net).makespan()
-    };
-    group.bench_function("sequential", |b| {
-        b.iter(|| black_box(seq_sweep(0..512, work)))
-    });
-    group.bench_function("rayon", |b| b.iter(|| black_box(par_sweep(0..512, work))));
     group.finish();
 }
 
@@ -117,7 +97,6 @@ criterion_group!(
     benches,
     arithmetic,
     algorithm,
-    sweep_driver,
     execution_model,
     des_granularity
 );

@@ -11,7 +11,7 @@
 //! cargo run --release -p bench --bin exp_affine
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use dlt::affine::{self, AffineOverheads};
 use dlt::linear;
 use dlt::model::LinearNetwork;
@@ -53,7 +53,7 @@ fn main() {
     // Consistency sweep: affine with zero overheads ≡ linear model, and
     // participating processors always finish together.
     let trials = 500u64;
-    let bad: usize = par_sweep(0..trials, |seed| {
+    let bad: usize = sweep(0..trials, |seed| {
         let cfg = ChainConfig {
             processors: 6,
             ..Default::default()

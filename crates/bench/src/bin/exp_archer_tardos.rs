@@ -12,7 +12,7 @@
 //! cargo run --release -p bench --bin exp_archer_tardos
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use mechanism::archer_tardos::{is_monotone, ArcherTardos, ChainRule, StarRule};
 use mechanism::{Agent, DlsLbl};
 use workloads::ChainConfig;
@@ -67,7 +67,7 @@ fn main() {
     // Random sweep: both strategyproof, utilities non-negative; outlay
     // ratio distribution.
     let trials = 200u64;
-    let results = par_sweep(0..trials, |seed| {
+    let results = sweep(0..trials, |seed| {
         let cfg = ChainConfig {
             processors: 5,
             ..Default::default()

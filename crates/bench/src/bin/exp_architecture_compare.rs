@@ -16,7 +16,7 @@
 //! cargo run --release -p bench --bin exp_architecture_compare
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use dlt::interior::{self, InteriorNetwork};
 use dlt::model::{LinearNetwork, StarNetwork, TreeNode};
 use dlt::{closed_form, linear, star, tree};
@@ -33,7 +33,7 @@ fn main() {
             processors: n,
             ..Default::default()
         };
-        let results = par_sweep(0..trials, |seed| {
+        let results = sweep(0..trials, |seed| {
             let net = workloads::chain(&cfg, seed);
             let w = net.rates_w();
             let z = net.rates_z();

@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --bin exp_audit_sweep
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use mechanism::audit::{analyze_overcharge, break_even_overcharge};
 use mechanism::FineSchedule;
 use protocol::{Deviation, Scenario};
@@ -40,7 +40,7 @@ fn main() {
             let schedule = FineSchedule::new(fine, q);
             let analysis = analyze_overcharge(&schedule, overcharge);
             // Monte Carlo over real protocol runs.
-            let results = par_sweep(0..trials, |seed| {
+            let results = sweep(0..trials, |seed| {
                 let base = scenario(fine, q, seed);
                 let honest = protocol::run(&base);
                 let dev = protocol::run(

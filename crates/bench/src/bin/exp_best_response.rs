@@ -11,7 +11,7 @@
 //! cargo run --release -p bench --bin exp_best_response
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use mechanism::equilibrium::{best_response_dynamics, BidGame};
 use mechanism::naive_baseline::NaiveMechanism;
 use mechanism::{Agent, DlsLbl};
@@ -82,7 +82,7 @@ fn main() {
 
     // Randomized convergence sweep.
     let trials = 300u64;
-    let failures: usize = par_sweep(0..trials, |seed| {
+    let failures: usize = sweep(0..trials, |seed| {
         let cfg = ChainConfig {
             processors: 4 + (seed % 4) as usize,
             ..Default::default()

@@ -17,7 +17,7 @@
 //! cargo run --release -p bench --bin exp_collusion
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use mechanism::{Agent, Conduct, DlsLbl};
 use workloads::ChainConfig;
 
@@ -27,7 +27,7 @@ fn main() {
 
     let factors = [0.5f64, 0.75, 1.0, 1.5, 2.5];
     let trials = 300u64;
-    let results = par_sweep(0..trials, |seed| {
+    let results = sweep(0..trials, |seed| {
         let cfg = ChainConfig {
             processors: 6,
             ..Default::default()

@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --bin exp_deviation_catalog
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use mechanism::FineSchedule;
 use protocol::{Deviation, EntryKind, Scenario};
 use workloads::ChainConfig;
@@ -34,7 +34,7 @@ fn main() {
     ]);
 
     for deviation in Deviation::catalog() {
-        let results = par_sweep(0..trials, |seed| {
+        let results = sweep(0..trials, |seed| {
             let net = workloads::chain(&cfg, seed);
             let parts = workloads::mechanism_parts(&net);
             let m = parts.true_rates.len();

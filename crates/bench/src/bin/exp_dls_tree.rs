@@ -13,7 +13,7 @@
 //! cargo run --release -p bench --bin exp_dls_tree
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use mechanism::dls_tree::TreeMechanism;
 use mechanism::{Agent, Conduct, DlsLbl};
 use workloads::ChainConfig;
@@ -54,7 +54,7 @@ fn main() {
     // Random trees: strategyproofness + VP sweeps.
     let trials = 200u64;
     let factors = [0.3, 0.5, 0.75, 0.9, 1.0, 1.2, 1.6, 2.5, 5.0];
-    let results = par_sweep(0..trials, |seed| {
+    let results = sweep(0..trials, |seed| {
         let cfg = ChainConfig {
             processors: 7,
             ..Default::default()

@@ -12,7 +12,7 @@
 //! cargo run --release -p bench --bin exp_fault_sweep
 //! ```
 
-use bench::{par_sweep, JsonReport, Table};
+use bench::{sweep, JsonReport, Table};
 use protocol::{run_with_faults, FaultKind, FaultPlan, Scenario};
 use workloads::{crash_position_grid, crash_time_grid, seeded_cases, FaultCase, FaultCaseKind};
 
@@ -126,7 +126,7 @@ fn main() {
         .map(|m| {
             let s = chain(m);
             let grid = crash_position_grid(m, &[0.0, 0.25, 0.5, 0.75, 1.0]);
-            let results = par_sweep(0..grid.len() as u64, |i| {
+            let results = sweep(0..grid.len() as u64, |i| {
                 let case = &grid[i as usize];
                 check_invariants(&s, &to_plan(case), &case.label()).overhead()
             });
@@ -138,7 +138,7 @@ fn main() {
         .map(|m| {
             let s = chain(m);
             let cases = seeded_cases(0xE20, m, 40);
-            let results = par_sweep(0..cases.len() as u64, |i| {
+            let results = sweep(0..cases.len() as u64, |i| {
                 let case = &cases[i as usize];
                 check_invariants(&s, &to_plan(case), &case.label());
             });

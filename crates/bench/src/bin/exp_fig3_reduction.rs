@@ -14,7 +14,7 @@
 //! cargo run --release -p bench --bin exp_fig3_reduction
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use dlt::model::LinearNetwork;
 use dlt::{linear, reduction};
 use workloads::ChainConfig;
@@ -72,7 +72,7 @@ fn main() {
         processors: 10,
         ..Default::default()
     };
-    let bad = par_sweep(0..trials, |seed| {
+    let bad = sweep(0..trials, |seed| {
         let net = workloads::chain(&cfg, seed);
         let mut violations = 0u32;
         for cut in 0..net.len() {

@@ -11,7 +11,7 @@
 //! cargo run --release -p bench --bin exp_interior_mechanism
 //! ```
 
-use bench::{par_sweep, JsonReport, Table};
+use bench::{sweep, JsonReport, Table};
 use mechanism::dls_interior::{Arm, DlsInterior};
 use mechanism::{Agent, Conduct};
 
@@ -23,7 +23,7 @@ fn main() {
     println!();
     let trials = 300u64;
     let factors = [0.3, 0.6, 0.9, 1.0, 1.3, 2.0, 4.0];
-    let results = par_sweep(0..trials, |seed| {
+    let results = sweep(0..trials, |seed| {
         // Deterministic random-ish arms of 1..=3 agents each.
         let h = |k: u64| 0.3 + ((seed.wrapping_mul(31).wrapping_add(k * 17)) % 40) as f64 / 13.0;
         let left_n = 1 + (seed % 3) as usize;

@@ -13,7 +13,7 @@
 //! cargo run --release -p bench --bin exp_multi_fault_sweep
 //! ```
 
-use bench::{par_sweep, JsonReport, Table};
+use bench::{sweep, JsonReport, Table};
 use protocol::{run_with_faults, run_with_faults_single, FaultKind, FaultPlan, Scenario};
 use workloads::{
     cascade_grid, crash_pair_grid, multi_label, seeded_multi_cases, FaultCase, FaultCaseKind,
@@ -166,7 +166,7 @@ fn main() {
         .map(|m| {
             let s = chain(m);
             let batch = seeded_multi_cases(0xE22, m, 60, 3);
-            let results = par_sweep(0..batch.len() as u64, |i| {
+            let results = sweep(0..batch.len() as u64, |i| {
                 let cases = &batch[i as usize];
                 check_invariants(&s, cases, &format!("m={m} {}", multi_label(cases)));
             });

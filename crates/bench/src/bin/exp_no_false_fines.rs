@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --bin exp_no_false_fines
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use mechanism::FineSchedule;
 use protocol::{Deviation, EntryKind, Scenario};
 use workloads::ChainConfig;
@@ -24,7 +24,7 @@ fn main() {
     println!("E11: Lemma 5.2 — fuzzing for false fines");
     println!();
     let trials = 3000u64;
-    let results = par_sweep(0..trials, |seed| {
+    let results = sweep(0..trials, |seed| {
         let m = 3 + (seed % 6) as usize; // 3..=8 strategic processors
         let cfg = ChainConfig {
             processors: m + 1,

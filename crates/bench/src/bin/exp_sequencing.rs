@@ -14,7 +14,7 @@
 //! cargo run --release -p bench --bin exp_sequencing
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use dlt::model::{StarNetwork, TreeNode};
 use dlt::seqsearch::{canonical_order, exhaustive_search, order_makespan};
 use dlt::star;
@@ -37,7 +37,7 @@ fn main() {
     // Exhaustive verification on random stars.
     let trials = 500u64;
     for m in [3usize, 5, 7] {
-        let results = par_sweep(0..trials, |seed| {
+        let results = sweep(0..trials, |seed| {
             let cfg = ChainConfig {
                 processors: m + 1,
                 ..Default::default()

@@ -15,7 +15,7 @@
 //! cargo run --release -p bench --bin exp_solution_bonus
 //! ```
 
-use bench::{par_sweep, Table};
+use bench::{sweep, Table};
 use protocol::Scenario;
 
 /// Expected utility of agent `j` when the solution is found with
@@ -26,7 +26,7 @@ fn expected_utility(base: &Scenario, j: usize, s: f64, p_solution: f64, seeds: u
     // Utilities are deterministic given the bonus outcome; average the two
     // branches (seeds only affect audits, which are neutral for honest
     // bills — verified by the spread below).
-    let spread: f64 = par_sweep(0..seeds, |seed| {
+    let spread: f64 = sweep(0..seeds, |seed| {
         protocol::run(&base.clone().with_seed(seed).with_solution_bonus(s, true)).utility(j)
     })
     .iter()

@@ -11,7 +11,7 @@
 //! cargo run --release -p bench --bin exp_strategyproof_sweep
 //! ```
 
-use bench::{par_sweep, JsonReport, Table};
+use bench::{sweep, JsonReport, Table};
 use mechanism::naive_baseline::NaiveMechanism;
 use mechanism::verify::{bid_sweep, default_factor_grid, strategyproofness_report};
 use mechanism::{Agent, Conduct, DlsLbl};
@@ -85,7 +85,7 @@ fn main() {
     // truthful AND others adversarial.
     let trials = 500u64;
     let grid = default_factor_grid();
-    let violations: usize = par_sweep(0..trials, |seed| {
+    let violations: usize = sweep(0..trials, |seed| {
         let cfg = ChainConfig {
             processors: 2 + (seed % 7) as usize + 1,
             ..Default::default()

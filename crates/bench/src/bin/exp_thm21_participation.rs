@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --bin exp_thm21_participation
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use dlt::baseline::{solve_bisection, BisectionParams};
 use dlt::exact;
 use dlt::timing::participation_spread;
@@ -42,7 +42,7 @@ fn main() {
             // contract, so the report below is unchanged by the rewiring.
             let nets = workloads::chain_population(&cfg, 0..trials);
             let batch = dlt::batch::solve_many(&nets);
-            let results = par_sweep(0..trials, |seed| {
+            let results = sweep(0..trials, |seed| {
                 let net = &nets[seed as usize];
                 let sol = batch.solution(seed as usize);
                 sol.alloc.validate().expect("feasible");

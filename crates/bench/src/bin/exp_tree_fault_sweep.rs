@@ -14,7 +14,7 @@
 //! cargo run --release -p bench --bin exp_tree_fault_sweep
 //! ```
 
-use bench::{par_sweep, JsonReport, Table};
+use bench::{sweep, JsonReport, Table};
 use dlt::model::TreeNode;
 use protocol::{
     run_tree_with_faults, run_with_faults, FaultKind, FaultPlan, FtTreeRunReport, Scenario,
@@ -187,7 +187,7 @@ fn main() {
             let s = scenario_of(case);
             let m = case.num_agents();
             let batch = seeded_multi_cases(0xE24, m, batch_size, 3);
-            let results = par_sweep(0..batch.len() as u64, |i| {
+            let results = sweep(0..batch.len() as u64, |i| {
                 let cases = &batch[i as usize];
                 check_invariants(&s, cases, &format!("{} {}", case.label, multi_label(cases)));
             });

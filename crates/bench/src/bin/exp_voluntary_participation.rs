@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --bin exp_voluntary_participation
 //! ```
 
-use bench::{par_sweep, Stats, Table};
+use bench::{sweep, Stats, Table};
 use mechanism::verify::participation_report;
 use mechanism::{Agent, DlsLbl};
 use workloads::{ChainConfig, ChainShape};
@@ -27,7 +27,7 @@ fn main() {
                 shape,
                 ..Default::default()
             };
-            let utilities: Vec<f64> = par_sweep(0..trials, |seed| {
+            let utilities: Vec<f64> = sweep(0..trials, |seed| {
                 let net = workloads::chain(&cfg, seed);
                 let parts = workloads::mechanism_parts(&net);
                 let mech = DlsLbl::new(parts.root_rate, parts.link_rates.clone());

@@ -2,8 +2,8 @@
 //!
 //! Each experiment from DESIGN.md §4 is a binary in `src/bin/exp_*.rs`;
 //! this library holds the shared plumbing: aligned table printing, summary
-//! statistics, machine-readable JSON mirrors of the text reports, and a
-//! rayon-parallel map for wide sweeps.
+//! statistics, machine-readable JSON mirrors of the text reports, and the
+//! map over seeds that drives the wide sweeps.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -11,7 +11,6 @@
 #![allow(clippy::needless_range_loop)]
 
 use minijson::Value;
-use rayon::prelude::*;
 
 /// A plain-text table printer with right-aligned columns.
 #[derive(Debug, Default)]
@@ -199,17 +198,10 @@ impl Stats {
     }
 }
 
-/// Rayon-parallel map over seeds — the sweep driver used by the wide
-/// experiments (and ablated against its sequential twin in `bench_ablation`).
-pub fn par_sweep<T: Send>(
-    seeds: std::ops::Range<u64>,
-    f: impl Fn(u64) -> T + Sync + Send,
-) -> Vec<T> {
-    seeds.into_par_iter().map(f).collect()
-}
-
-/// Sequential twin of [`par_sweep`] for the ablation bench.
-pub fn seq_sweep<T>(seeds: std::ops::Range<u64>, f: impl Fn(u64) -> T) -> Vec<T> {
+/// `f` of each seed, in seed order — the sweep driver of the wide
+/// experiments. It runs on the calling thread, so traced sweeps record
+/// their events in a fixed order.
+pub fn sweep<T>(seeds: std::ops::Range<u64>, f: impl Fn(u64) -> T) -> Vec<T> {
     seeds.map(f).collect()
 }
 
@@ -241,13 +233,6 @@ mod tests {
         assert_eq!(s.max, 3.0);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!((s.std - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_and_seq_sweeps_agree() {
-        let p = par_sweep(0..32, |s| s * s);
-        let q = seq_sweep(0..32, |s| s * s);
-        assert_eq!(p, q);
     }
 
     #[test]
