@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mechanism::payment::{self, PaymentInputs};
-use mechanism::verify::{default_factor_grid, strategyproofness_report};
+use mechanism::verify::{bid_sweep, default_factor_grid, strategyproofness_report};
 use mechanism::{Agent, Conduct, DlsLbl, TreeMechanism};
 use std::hint::black_box;
 use workloads::ChainConfig;
@@ -65,8 +65,10 @@ fn sweep(c: &mut Criterion) {
 
 /// One agent's sweep over the 45-bid factor grid, the others truthful:
 /// settling every profile whole (`settle/m`) against one deviation
-/// settler that solves the others' suffix once (`deviation/m`). The agent
-/// is the middle one, so the deviation's O(j) walk has average length.
+/// settler that solves the others' suffix once (`deviation/m`), and the
+/// whole `verify::bid_sweep` call the `settle-sweep` workload makes
+/// (`bid_sweep/m`: the truthful bid, then every factor). The agent is the
+/// middle one, so the deviation's O(j) walk has average length.
 fn one_agent_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("one_agent_sweep");
     let grid = default_factor_grid();
@@ -94,6 +96,9 @@ fn one_agent_sweep(c: &mut Criterion) {
                     .map(|&f| deviation.settle(bid(f), false).breakdown.utility)
                     .sum::<f64>()
             })
+        });
+        group.bench_with_input(BenchmarkId::new("bid_sweep", m), &truthful, |b, others| {
+            b.iter(|| black_box(bid_sweep(&mech, &agents, j, others, &grid)))
         });
     }
     group.finish();
