@@ -13,12 +13,16 @@
 //! * [`DlsLbl::settle`] settles a whole profile in O(m) through one suffix
 //!   sweep ([`dlt::batch::solve_all_suffixes`]);
 //! * [`DlsLbl::deviation`] fixes every agent but `P_j` and then settles
-//!   each conduct of `P_j` alone. The suffix `P_{j+1} … P_m` behind the
-//!   agent is solved once; each conduct costs one reduction step at `j`,
-//!   a backward walk over `0..j` and the forward product for `α_j`, with
-//!   no allocation. This is what the Theorem 5.3 sweeps
-//!   ([`crate::verify::bid_sweep`]) run, and every field of its outcome is
-//!   bit-identical to `settle(..).agents[j - 1]`.
+//!   conducts of `P_j` alone. The suffix `P_{j+1} … P_m` behind the agent
+//!   is solved once. Conducts then settle in lanes of up to eight side by
+//!   side: one reduction step at `j`, a backward walk over `0..j` and the
+//!   forward product for `α_j`, each run over a fixed-width array with one
+//!   load of the prefix's rate and link per step for all lanes, and no
+//!   allocation. Each lane does exactly the floating-point operations of a
+//!   lone settlement, in the same order, so lanes only keep several
+//!   divides in flight at once (DESIGN §21). This is what the Theorem 5.3
+//!   sweeps ([`crate::verify::bid_sweep`]) run, and every field of an
+//!   outcome is bit-identical to `settle(..).agents[j - 1]`.
 
 use crate::agent::{Agent, Conduct};
 use crate::payment::{self, BonusTerms, PaymentBreakdown, PaymentInputs};
@@ -194,10 +198,10 @@ impl DlsLbl {
         assert_eq!(others.len(), m, "one conduct per strategic processor");
         assert!(j >= 1 && j <= m, "P_j must be a strategic processor");
         let bid = |i: usize| Processor::new(others[i - 1].bid).w;
-        // Both buffers are sized by the chain, not by `j`: sweeps over
-        // different agents of one chain then reuse one allocation size,
-        // where `j`-sized buffers fragmented the heap and raised a sweep
-        // workload's peak RSS by ≈5 %.
+        // Both buffers, this one and the lanes' α̂, are sized by the chain,
+        // not by `j`: sweeps over different agents of one chain then reuse
+        // one allocation size, where `j`-sized buffers fragmented the heap
+        // and raised a sweep workload's peak RSS by ≈5 %.
         let mut prefix = Vec::with_capacity(m + 1);
         prefix.push(self.root_rate);
         prefix.extend((1..j).map(bid));
@@ -212,20 +216,26 @@ impl DlsLbl {
             }
             (w_bar, eq_time)
         });
-        let mut alpha_hat = Vec::with_capacity(m + 1);
-        alpha_hat.resize(j, 0.0);
         Deviation {
             mech: self,
             j,
             prefix,
             suffix,
-            alpha_hat,
+            alpha_hat: Vec::with_capacity(LANES * m),
         }
     }
 }
 
+/// Conducts that [`Deviation::settle_each`] settles side by side. At the
+/// baseline x86-64 target, eight lanes keep four two-wide SSE2 divides in
+/// flight per prefix step. Four lanes ran 1.3–1.8× slower at m ≥ 16;
+/// sixteen won only on long chains and lost on short ones, where a
+/// sweep's padded lanes cost more than its walk (DESIGN §21).
+const LANES: usize = 8;
+
 /// `P_j`'s settlements against a fixed profile of the other agents, from
-/// [`DlsLbl::deviation`]. Each [`Deviation::settle`] is bit-identical to
+/// [`DlsLbl::deviation`]. Every outcome of [`Deviation::settle`] and
+/// [`Deviation::settle_each`] is bit-identical to
 /// `DlsLbl::settle(..).agents[j - 1]` on the same profile.
 #[derive(Debug, Clone)]
 pub struct Deviation<'a> {
@@ -237,60 +247,122 @@ pub struct Deviation<'a> {
     /// `(w̄_{j+1}, equivalent_time_{j+1})` of the fixed suffix; `None`
     /// when `P_j` is terminal.
     suffix: Option<(f64, f64)>,
-    /// `α̂_0 … α̂_{j-1}`, rewritten by every settlement.
+    /// `α̂_0 … α̂_{j-1}` of every lane, step-major: a settlement of `L`
+    /// lanes rewrites the first `L · j`. Its capacity, `LANES · m`, is
+    /// reserved at once, so growing into it never reallocates.
     alpha_hat: Vec<f64>,
 }
 
 impl Deviation<'_> {
     /// Settle `P_j` under `conduct`, with `solution_found` feeding the
-    /// eq. 4.13 bonus as in [`DlsLbl::settle`]. O(j), allocation-free.
+    /// eq. 4.13 bonus as in [`DlsLbl::settle`]: the one-lane instance of
+    /// the kernel [`Deviation::settle_each`] runs. O(j), allocation-free.
     pub fn settle(&mut self, conduct: Conduct, solution_found: bool) -> AgentOutcome {
+        let [outcome] = self.settle_lanes([conduct], solution_found);
+        outcome
+    }
+
+    /// Settle every conduct of `conducts` in order and hand `each` its
+    /// index and outcome, in that order. Conducts run eight at a time
+    /// through one walk over the prefix; a short last chunk pads its
+    /// unused lanes with its first conduct and drops their outcomes. Each
+    /// outcome equals [`Deviation::settle`]'s to the bit. Allocation-free.
+    pub fn settle_each(
+        &mut self,
+        conducts: impl IntoIterator<Item = Conduct>,
+        solution_found: bool,
+        mut each: impl FnMut(usize, AgentOutcome),
+    ) {
+        let mut conducts = conducts.into_iter();
+        let mut done = 0;
+        while let Some(first) = conducts.next() {
+            let mut chunk = [first; LANES];
+            let mut filled = 1;
+            // `zip` stops on the chunk's end before pulling a conduct.
+            for (lane, conduct) in chunk[1..].iter_mut().zip(conducts.by_ref()) {
+                *lane = conduct;
+                filled += 1;
+            }
+            let outcomes = self.settle_lanes(chunk, solution_found);
+            for (k, outcome) in outcomes.into_iter().take(filled).enumerate() {
+                each(done + k, outcome);
+            }
+            done += filled;
+        }
+    }
+
+    /// The kernel: settle `L` conducts side by side. Every lane runs
+    /// exactly the IEEE operations of a lone settlement, in the same
+    /// order, with no fused multiply-add; the lanes share only the loads
+    /// of the fixed inputs. Independent lanes let the compiler keep
+    /// several divides in flight where one settlement waits on each.
+    #[inline]
+    fn settle_lanes<const L: usize>(
+        &mut self,
+        conducts: [Conduct; L],
+        solution_found: bool,
+    ) -> [AgentOutcome; L] {
         let j = self.j;
         let links = &self.mech.link_rates;
-        let bid = Processor::new(conduct.bid).w;
+        let bid = conducts.map(|c| Processor::new(c.bid).w);
         // One reduction step at j against the fixed suffix (eqs. 2.4/2.7).
-        let (alpha_hat_j, w_bar_j, eq_time_j) = match self.suffix {
-            Some((w_bar, eq_time)) => {
-                let z = links[j];
-                let (alpha_hat, w_bar_j) = linear::reduce_pair(bid, z, w_bar);
-                let eq_time_j = linear::reduce_pair_equivalent(bid, z, eq_time);
-                (alpha_hat, w_bar_j, eq_time_j)
+        let (mut alpha_hat_j, mut w_bar_j, mut eq_time_j) = ([1.0; L], bid, bid);
+        if let Some((w_bar, eq_time)) = self.suffix {
+            let z = links[j];
+            for l in 0..L {
+                (alpha_hat_j[l], w_bar_j[l]) = linear::reduce_pair(bid[l], z, w_bar);
+                eq_time_j[l] = linear::reduce_pair_equivalent(bid[l], z, eq_time);
             }
-            None => (1.0, bid, bid),
-        };
-        // Backward walk over the prefix, then the forward product for α_j
-        // in `LocalAllocation::to_global`'s order.
+        }
+        // Backward walk over the prefix, one rate and link load per step
+        // for all lanes. The lanes' α̂ grow into their reserved capacity.
+        if self.alpha_hat.len() < L * j {
+            self.alpha_hat.resize(L * j, 0.0);
+        }
+        let (alpha_hat, _) = self.alpha_hat[..L * j].as_chunks_mut::<L>();
         let mut w_bar = w_bar_j;
         for i in (0..j).rev() {
-            (self.alpha_hat[i], w_bar) = linear::reduce_pair(self.prefix[i], links[i], w_bar);
+            let (w, z, ah) = (self.prefix[i], links[i], &mut alpha_hat[i]);
+            for l in 0..L {
+                (ah[l], w_bar[l]) = linear::reduce_pair(w, z, w_bar[l]);
+            }
         }
-        let carried = self.alpha_hat.iter().fold(1.0, |c, &ah| c * (1.0 - ah));
-        let assigned = carried * alpha_hat_j;
-        let inputs = PaymentInputs {
-            assigned_load: assigned,
-            actual_load: conduct.actual_load.unwrap_or(assigned),
-            actual_rate: conduct.actual_rate,
-        };
-        let terms = BonusTerms {
-            w_pred: self.prefix[j - 1],
-            z: links[j - 1],
-            w: bid,
-            alpha_hat: alpha_hat_j,
-            w_bar: w_bar_j,
-            eq_time: eq_time_j,
-            terminal: self.suffix.is_none(),
-        };
+        // The forward product for α_j in `LocalAllocation::to_global`'s
+        // order.
+        let carried = alpha_hat.iter().fold([1.0; L], |mut c, ah| {
+            for l in 0..L {
+                c[l] *= 1.0 - ah[l];
+            }
+            c
+        });
         let s = if solution_found {
             self.mech.config.solution_bonus
         } else {
             0.0
         };
-        AgentOutcome {
-            assigned_load: inputs.assigned_load,
-            actual_load: inputs.actual_load,
-            actual_rate: inputs.actual_rate,
-            breakdown: payment::breakdown(inputs, terms.bonus(inputs.actual_rate), s),
-        }
+        std::array::from_fn(|l| {
+            let assigned = carried[l] * alpha_hat_j[l];
+            let inputs = PaymentInputs {
+                assigned_load: assigned,
+                actual_load: conducts[l].actual_load.unwrap_or(assigned),
+                actual_rate: conducts[l].actual_rate,
+            };
+            let terms = BonusTerms {
+                w_pred: self.prefix[j - 1],
+                z: links[j - 1],
+                w: bid[l],
+                alpha_hat: alpha_hat_j[l],
+                w_bar: w_bar_j[l],
+                eq_time: eq_time_j[l],
+                terminal: self.suffix.is_none(),
+            };
+            AgentOutcome {
+                assigned_load: inputs.assigned_load,
+                actual_load: inputs.actual_load,
+                actual_rate: inputs.actual_rate,
+                breakdown: payment::breakdown(inputs, terms.bonus(inputs.actual_rate), s),
+            }
+        })
     }
 }
 

@@ -56,9 +56,11 @@ impl BidSweep {
 /// when it underbids — it cannot compute faster than its hardware.
 ///
 /// Every point settles through one [`DlsLbl::deviation`]: the others'
-/// suffix is solved once, and each bid costs O(j) with no allocation. The
-/// utilities are bit-identical to settling each profile whole with
-/// [`DlsLbl::settle`].
+/// suffix is solved once, and the truthful bid and every factor's bid run
+/// through [`Deviation::settle_each`](crate::Deviation::settle_each),
+/// eight bids side by side per O(j) walk, with no allocation beyond the
+/// deviation's two buffers and `points`. The utilities are bit-identical
+/// to settling each profile whole with [`DlsLbl::settle`].
 pub fn bid_sweep(
     mech: &DlsLbl,
     agents: &[Agent],
@@ -69,27 +71,26 @@ pub fn bid_sweep(
     assert!(j >= 1 && j <= agents.len());
     assert_eq!(others.len(), agents.len());
     let me = agents[j - 1];
-    let mut deviation = mech.deviation(others, j);
-    let mut utility_at = |bid: f64| -> f64 {
-        let conduct = Conduct {
-            bid,
-            actual_rate: me.feasible_actual(bid.min(me.true_rate)),
-            actual_load: None,
-        };
-        deviation.settle(conduct, false).breakdown.utility
+    let conduct_at = |bid: f64| Conduct {
+        bid,
+        actual_rate: me.feasible_actual(bid.min(me.true_rate)),
+        actual_load: None,
     };
-    let truthful_utility = utility_at(me.true_rate);
-    let points = factors
-        .iter()
-        .map(|&f| {
-            let bid = me.true_rate * f;
-            SweepPoint {
-                bid_factor: f,
-                bid,
-                utility: utility_at(bid),
+    let bids = std::iter::once(me.true_rate).chain(factors.iter().map(|&f| me.true_rate * f));
+    let mut truthful_utility = f64::NAN;
+    let mut points = Vec::with_capacity(factors.len());
+    mech.deviation(others, j)
+        .settle_each(bids.map(conduct_at), false, |k, outcome| {
+            let utility = outcome.breakdown.utility;
+            match k.checked_sub(1) {
+                None => truthful_utility = utility,
+                Some(i) => points.push(SweepPoint {
+                    bid_factor: factors[i],
+                    bid: me.true_rate * factors[i],
+                    utility,
+                }),
             }
-        })
-        .collect();
+        });
     BidSweep {
         agent: j,
         points,

@@ -1,8 +1,10 @@
 //! Bitwise differential suite for the one-pass settlement paths.
 //!
 //! * `DlsLbl::deviation` settles one agent against a fixed profile of the
-//!   others without re-solving the chain; every field of its outcome must
-//!   equal `DlsLbl::settle(..).agents[j - 1]` to the bit.
+//!   others without re-solving the chain, one conduct at a time or eight
+//!   lanes at a time (`Deviation::settle_each`); every field of its
+//!   outcome must equal `DlsLbl::settle(..).agents[j - 1]` to the bit, and
+//!   so must `verify::bid_sweep`'s utilities.
 //! * `TreeMechanism::settle` runs five passes over flat preorder arrays;
 //!   it must equal, to the bit, a frozen copy of the path it replaced,
 //!   which rebuilt the bid tree, re-ordered it with a preorder map, solved
@@ -20,6 +22,7 @@
 use dlt::model::{Link, Processor, TreeNode};
 use dlt::seqsearch::{self, TreeOrder};
 use dlt::tree::{self, FlatSolution};
+use mechanism::verify::{bid_sweep, default_factor_grid};
 use mechanism::{Agent, AgentOutcome, Conduct, DlsLbl, OrderPolicy, TreeMechanism, TreeOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,7 +79,8 @@ fn conducts_of(a: Agent) -> Vec<Conduct> {
     out
 }
 
-/// Every conduct of every agent against `others`, both ways.
+/// Every conduct of every agent against `others`, both ways, one at a
+/// time; then in lane batches.
 fn assert_deviations_match(mech: &DlsLbl, agents: &[Agent], others: &[Conduct], found: bool) {
     for j in 1..=agents.len() {
         let mut deviation = mech.deviation(others, j);
@@ -91,6 +95,42 @@ fn assert_deviations_match(mech: &DlsLbl, agents: &[Agent], others: &[Conduct], 
                 "m={} j={j} found={found} {conduct:?}:\n got {got:?}\nwant {want:?}",
                 agents.len()
             );
+        }
+    }
+    assert_batches_match(mech, agents, others, found);
+}
+
+/// Batches of every length up to two full chunks of the kernel's eight
+/// lanes and one more, so every padded-tail shape runs.
+const MAX_BATCH: usize = 2 * 8 + 1;
+
+/// Every batch length of `P_j`'s conducts through one `settle_each`, each
+/// outcome against a whole-chain settle; the batches rotate through
+/// `conducts_of`, so every lane position meets every kind of conduct.
+fn assert_batches_match(mech: &DlsLbl, agents: &[Agent], others: &[Conduct], found: bool) {
+    let m = agents.len();
+    let mut js = vec![1, m.div_ceil(2), m];
+    js.dedup();
+    for j in js {
+        let pool = conducts_of(agents[j - 1]);
+        let mut deviation = mech.deviation(others, j);
+        for n in 1..=MAX_BATCH {
+            let batch: Vec<Conduct> = (0..n).map(|k| pool[(n + k) % pool.len()]).collect();
+            let mut seen = 0;
+            deviation.settle_each(batch.iter().copied(), found, |k, got| {
+                assert_eq!(k, seen, "outcomes arrive in order");
+                seen += 1;
+                let mut profile = others.to_vec();
+                profile[j - 1] = batch[k];
+                let want = mech.settle(&profile, found).agents[j - 1];
+                assert_eq!(
+                    outcome_bits(&got),
+                    outcome_bits(&want),
+                    "m={m} j={j} n={n} lane {k} found={found} {:?}:\n got {got:?}\nwant {want:?}",
+                    batch[k]
+                );
+            });
+            assert_eq!(seen, n, "m={m} j={j}: one outcome per conduct");
         }
     }
 }
@@ -118,6 +158,53 @@ fn deviation_matches_whole_chain_settle_bitwise() {
         let bonus = mech.clone().with_solution_bonus(0.25);
         assert_deviations_match(&bonus, &agents, &lying, true);
         assert_deviations_match(&bonus, &agents, &truthful, false);
+    }
+}
+
+#[test]
+fn an_empty_batch_settles_nothing() {
+    let (mech, agents) = chain(4, 5);
+    let truthful: Vec<Conduct> = agents.iter().map(|&a| Conduct::truthful(a)).collect();
+    mech.deviation(&truthful, 2)
+        .settle_each(std::iter::empty(), false, |k, _| panic!("outcome {k}"));
+}
+
+#[test]
+fn bid_sweep_matches_one_whole_settle_per_point() {
+    let grid = default_factor_grid();
+    for (k, m) in [4usize, 16, 64, 256].into_iter().enumerate() {
+        let (mech, agents) = chain(m, 0x5EE + k as u64);
+        let truthful: Vec<Conduct> = agents.iter().map(|&a| Conduct::truthful(a)).collect();
+        for j in [1, 2, m / 2, m - 1, m] {
+            let me = agents[j - 1];
+            let utility = |bid: f64| {
+                let mut profile = truthful.clone();
+                profile[j - 1] = Conduct {
+                    bid,
+                    actual_rate: me.feasible_actual(bid.min(me.true_rate)),
+                    actual_load: None,
+                };
+                mech.settle(&profile, false).utility(j)
+            };
+            let sweep = bid_sweep(&mech, &agents, j, &truthful, &grid);
+            assert_eq!(sweep.agent, j);
+            assert_eq!(
+                sweep.truthful_utility.to_bits(),
+                utility(me.true_rate).to_bits(),
+                "m={m} j={j} truthful"
+            );
+            assert_eq!(sweep.points.len(), grid.len());
+            for (p, &f) in sweep.points.iter().zip(&grid) {
+                let bid = me.true_rate * f;
+                assert_eq!(p.bid_factor.to_bits(), f.to_bits());
+                assert_eq!(p.bid.to_bits(), bid.to_bits());
+                assert_eq!(
+                    p.utility.to_bits(),
+                    utility(bid).to_bits(),
+                    "m={m} j={j} ×{f}"
+                );
+            }
+        }
     }
 }
 

@@ -30,6 +30,12 @@ fn parse_rates(s: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
+/// The largest rate a chain may carry, the bound the served path's
+/// `svc::quant::canonicalize` enforces. Far larger rates overflow the
+/// mechanism's arithmetic (a fine base of `inf`, a makespan of `NaN`).
+const MAX_RATE: f64 = 1e12;
+
+/// Parse and check a chain. `run-file` reaches this too, through `cmd_run`.
 fn parse_network(w: &str, z: &str) -> Result<LinearNetwork, String> {
     let w = parse_rates(w)?;
     let z = parse_rates(z)?;
@@ -46,6 +52,11 @@ fn parse_network(w: &str, z: &str) -> Result<LinearNetwork, String> {
     }
     if let Some(bad) = z.iter().find(|&&z| !(z.is_finite() && z >= 0.0)) {
         return Err(format!("link rate {bad} is not finite and non-negative"));
+    }
+    if let Some(bad) = w.iter().chain(&z).find(|&&r| r > MAX_RATE) {
+        return Err(format!(
+            "rate {bad:e} exceeds the largest accepted rate {MAX_RATE:e}"
+        ));
     }
     Ok(LinearNetwork::from_rates(&w, &z))
 }

@@ -33,6 +33,43 @@ fn bad_numbers_exit_1_with_one_line_and_no_panic() {
 }
 
 #[test]
+fn rates_above_1e12_exit_1_with_one_line_and_no_panic() {
+    // At 1e308 `run` used to panic on an infinite fine base and `solve`
+    // printed a NaN makespan.
+    let huge = "1e308,1e308,1e308";
+    let spec = std::env::temp_dir().join(format!("dls-cli-huge-{}.json", std::process::id()));
+    std::fs::write(
+        &spec,
+        r#"{"network": {"kind": "explicit", "w": [1e308, 1e308, 1e308], "z": [1e308, 1e308]}}"#,
+    )
+    .expect("write the spec");
+    let spec_path = spec.to_str().expect("utf-8 path");
+    let cases: [&[&str]; 7] = [
+        &["solve", huge, "1e308,1e308"],
+        &["run", huge, "1e308,1e308"],
+        &["sweep", "1", huge, "1e308,1e308"],
+        &["solve", "1,2,1.5", "0.2,1e13"],
+        &["gantt", "1,1.0000001e12", "0.5"],
+        &["multiround", "3", "0.1", "1,2e12", "0.5"],
+        &["run-file", spec_path],
+    ];
+    for args in cases {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("exceeds the largest accepted rate"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+    std::fs::remove_file(&spec).expect("remove the spec");
+    // The bound itself is accepted.
+    assert!(cli(&["solve", "1,1e12", "1e12"]).status.success());
+}
+
+#[test]
 fn valid_solve_prints_the_allocation_table() {
     let out = cli(&["solve", "1,2,1.5", "0.2,0.3"]);
     assert!(out.status.success());
