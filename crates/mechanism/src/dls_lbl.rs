@@ -198,13 +198,14 @@ impl DlsLbl {
         assert_eq!(others.len(), m, "one conduct per strategic processor");
         assert!(j >= 1 && j <= m, "P_j must be a strategic processor");
         let bid = |i: usize| Processor::new(others[i - 1].bid).w;
-        // Both buffers, this one and the lanes' α̂, are sized by the chain,
-        // not by `j`: sweeps over different agents of one chain then reuse
-        // one allocation size, where `j`-sized buffers fragmented the heap
-        // and raised a sweep workload's peak RSS by ≈5 %.
-        let mut prefix = Vec::with_capacity(m + 1);
-        prefix.push(self.root_rate);
-        prefix.extend((1..j).map(bid));
+        // One buffer holds the prefix and, behind it, the lanes' α̂. It is
+        // sized by the chain, not by `j`: sweeps over different agents of
+        // one chain then reuse one allocation size, where `j`-sized
+        // buffers fragmented the heap and raised a sweep workload's peak
+        // RSS by ≈5 %.
+        let mut scratch = Vec::with_capacity((m + 1) + LANES * m);
+        scratch.push(self.root_rate);
+        scratch.extend((1..j).map(bid));
         // The suffix recursions of `batch::solve_all_suffixes`, run down to
         // P_{j+1}: both `w̄_{j+1}` operation orders.
         let suffix = (j < m).then(|| {
@@ -219,9 +220,8 @@ impl DlsLbl {
         Deviation {
             mech: self,
             j,
-            prefix,
+            scratch,
             suffix,
-            alpha_hat: Vec::with_capacity(LANES * m),
         }
     }
 }
@@ -242,15 +242,15 @@ pub struct Deviation<'a> {
     mech: &'a DlsLbl,
     /// The deviating agent's index (1-based).
     j: usize,
-    /// `w_0 … w_{j-1}`: the root's rate, then the others' bids.
-    prefix: Vec<f64>,
+    /// The prefix `w_0 … w_{j-1}` (the root's rate, then the others'
+    /// bids), then `α̂_0 … α̂_{j-1}` of every lane, step-major: a
+    /// settlement of `L` lanes rewrites the `L · j` entries behind the
+    /// prefix. Its capacity, `(m + 1) + LANES · m`, is reserved at once, so
+    /// growing into it never reallocates.
+    scratch: Vec<f64>,
     /// `(w̄_{j+1}, equivalent_time_{j+1})` of the fixed suffix; `None`
     /// when `P_j` is terminal.
     suffix: Option<(f64, f64)>,
-    /// `α̂_0 … α̂_{j-1}` of every lane, step-major: a settlement of `L`
-    /// lanes rewrites the first `L · j`. Its capacity, `LANES · m`, is
-    /// reserved at once, so growing into it never reallocates.
-    alpha_hat: Vec<f64>,
 }
 
 impl Deviation<'_> {
@@ -315,14 +315,15 @@ impl Deviation<'_> {
             }
         }
         // Backward walk over the prefix, one rate and link load per step
-        // for all lanes. The lanes' α̂ grow into their reserved capacity.
-        if self.alpha_hat.len() < L * j {
-            self.alpha_hat.resize(L * j, 0.0);
+        // for all lanes. The lanes' α̂ grow into the reserved capacity.
+        if self.scratch.len() < j + L * j {
+            self.scratch.resize(j + L * j, 0.0);
         }
-        let (alpha_hat, _) = self.alpha_hat[..L * j].as_chunks_mut::<L>();
+        let (prefix, alpha_hat) = self.scratch.split_at_mut(j);
+        let (alpha_hat, _) = alpha_hat[..L * j].as_chunks_mut::<L>();
         let mut w_bar = w_bar_j;
         for i in (0..j).rev() {
-            let (w, z, ah) = (self.prefix[i], links[i], &mut alpha_hat[i]);
+            let (w, z, ah) = (prefix[i], links[i], &mut alpha_hat[i]);
             for l in 0..L {
                 (ah[l], w_bar[l]) = linear::reduce_pair(w, z, w_bar[l]);
             }
@@ -348,7 +349,7 @@ impl Deviation<'_> {
                 actual_rate: conducts[l].actual_rate,
             };
             let terms = BonusTerms {
-                w_pred: self.prefix[j - 1],
+                w_pred: prefix[j - 1],
                 z: links[j - 1],
                 w: bid[l],
                 alpha_hat: alpha_hat_j[l],

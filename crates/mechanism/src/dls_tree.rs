@@ -34,12 +34,37 @@
 //! 4. each agent's realized parent equivalent, from the parent's cached
 //!    star fractions;
 //! 5. each agent's payment breakdown.
+//!
+//! The passes' buffers (the node rates, a bid-dependent order and the
+//! [`dlt::tree::FlatSolution`]) live in a warm per-thread workspace, the
+//! pattern of `dlt::batch::solve_many`, so a settlement allocates only
+//! the `agents` it returns (DESIGN §22).
 
 use crate::agent::{Agent, Conduct};
 use crate::payment::{self, PaymentInputs};
 use dlt::model::{LinearNetwork, Processor, StarNetwork, TreeNode};
 use dlt::seqsearch::TreeOrder;
 use dlt::tree::{FlatSolution, FlatTree};
+use std::cell::RefCell;
+
+/// The buffers of one [`TreeMechanism::settle`], kept warm per thread.
+/// Every pass writes each entry it later reads, so what a larger tree
+/// left behind never reaches a result.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The root's rate, then the bids.
+    rate: Vec<f64>,
+    /// The bid-dependent service order of
+    /// [`OrderPolicy::BidFastestEquivalentFirst`].
+    order: Vec<usize>,
+    /// The solve over the bids.
+    sol: FlatSolution,
+}
+
+thread_local! {
+    /// Warm per-thread workspace backing [`TreeMechanism::settle`].
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
 /// How the mechanism chooses each settlement's service order (the order in
 /// which every internal node distributes to its children).
@@ -206,32 +231,44 @@ impl TreeMechanism {
         self.agents
     }
 
-    /// Settle a round of conducts (preorder over non-root nodes).
+    /// Settle a round of conducts (preorder over non-root nodes). The
+    /// node rates, the bid-dependent service order and the solve live in
+    /// a warm per-thread workspace, so a settlement allocates only its
+    /// outcome's `agents`.
     pub fn settle(&self, conducts: &[Conduct]) -> TreeOutcome {
         assert_eq!(conducts.len(), self.agents, "one bid per strategic node");
+        // Nothing below settles again, so the borrow cannot be re-entered.
+        SCRATCH.with(|scratch| self.settle_in(conducts, &mut scratch.borrow_mut()))
+    }
+
+    fn settle_in(&self, conducts: &[Conduct], scratch: &mut Scratch) -> TreeOutcome {
         let flat = &self.flat;
-        // Node rates: the root's trusted rate, then the bids.
-        let mut rate = Vec::with_capacity(flat.len());
+        let Scratch {
+            rate,
+            order: bid_order,
+            sol,
+        } = scratch;
+        // Node rates: the root's trusted rate, then the bids. A larger
+        // tree's leftovers are cut off here and overwritten by the passes.
+        rate.clear();
         rate.push(flat.rate[0]);
         rate.extend(conducts.iter().map(|c| Processor::new(c.bid).w));
-        let mut sol = FlatSolution::default();
         // Pass 1: the service order as a child-index view.
-        let bid_order;
         let order = match self.policy {
             OrderPolicy::BidFastestEquivalentFirst => {
                 // Serve each node's children in ascending order of their
                 // bid-instantiated equivalents over the canonical view
                 // (stable for ties).
-                let mut order = flat.identity_order().to_vec();
-                flat.reduce_into(&rate, &order, &mut sol);
-                flat.sort_children(&mut order, &sol.equivalent);
-                bid_order = order;
-                &bid_order
+                bid_order.clear();
+                bid_order.extend_from_slice(flat.identity_order());
+                flat.reduce_into(rate, bid_order, sol);
+                flat.sort_children(bid_order, &sol.equivalent);
+                &bid_order[..]
             }
             _ => &self.order,
         };
         // Passes 2 and 3: every local star once, then the loads.
-        flat.solve_into(&rate, order, &mut sol);
+        flat.solve_into(rate, order, sol);
         // Passes 4 and 5: realized parent equivalents and payments.
         let agents = (1..=self.agents)
             .map(|j| {
@@ -243,7 +280,7 @@ impl TreeMechanism {
                     actual_load,
                     actual_rate: c.actual_rate,
                 };
-                let bonus = self.bonus(&rate, &sol, order, j, c.actual_rate);
+                let bonus = self.bonus(rate, sol, order, j, c.actual_rate);
                 let b = payment::breakdown(inputs, bonus, 0.0);
                 TreeAgentOutcome {
                     agent: j,

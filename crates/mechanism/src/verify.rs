@@ -59,7 +59,7 @@ impl BidSweep {
 /// suffix is solved once, and the truthful bid and every factor's bid run
 /// through [`Deviation::settle_each`](crate::Deviation::settle_each),
 /// eight bids side by side per O(j) walk, with no allocation beyond the
-/// deviation's two buffers and `points`. The utilities are bit-identical
+/// deviation's one buffer and `points`. The utilities are bit-identical
 /// to settling each profile whole with [`DlsLbl::settle`].
 pub fn bid_sweep(
     mech: &DlsLbl,

@@ -10,11 +10,12 @@
 //! * one `DlsLbl::deviation`, and one whole `verify::bid_sweep` over the
 //!   default factor grid, at m = 4, 16, 64 and 256;
 //! * `TreeMechanism::settle` on every shape of `tree_shape_grid(0x7EE)`,
-//!   the grid the `settle-sweep` benchmark workload draws its trees from;
+//!   the grid the `settle-sweep` benchmark workload draws its trees from,
+//!   under each order policy, after one warm-up settlement;
 //! * `DlsLbl::settle` at m = 4, 16, 64 and 256.
 
 use mechanism::verify::{bid_sweep, default_factor_grid};
-use mechanism::{Agent, Conduct, DlsLbl, TreeMechanism};
+use mechanism::{Agent, Conduct, DlsLbl, OrderPolicy, TreeMechanism};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use workloads::ChainConfig;
@@ -115,26 +116,27 @@ fn settling_one_deviation_does_not_allocate() {
 }
 
 #[test]
-fn a_deviation_allocates_its_two_chain_sized_buffers() {
-    // The prefix rates and the α̂ buffer, each sized by m at once.
+fn a_deviation_allocates_one_chain_sized_buffer() {
+    // The prefix rates and the lanes' α̂ share one buffer, sized by m at
+    // once.
     for m in SIZES {
         let (mech, _, truthful) = chain(m);
         for j in [1, m / 2, m] {
             let (_, counts) = counted(|| mech.deviation(&truthful, j));
-            assert_eq!(counts, budget(2, 0), "m={m} j={j}");
+            assert_eq!(counts, budget(1, 0), "m={m} j={j}");
         }
     }
 }
 
 #[test]
 fn a_bid_sweep_allocates_its_deviation_and_its_points() {
-    // The deviation's two buffers and the `points` vector.
+    // The deviation's buffer and the `points` vector.
     let grid = default_factor_grid();
     for m in SIZES {
         let (mech, agents, truthful) = chain(m);
         for j in [1, m / 2, m] {
             let (sweep, counts) = counted(|| bid_sweep(&mech, &agents, j, &truthful, &grid));
-            assert_eq!(counts, budget(3, 0), "m={m} j={j}");
+            assert_eq!(counts, budget(2, 0), "m={m} j={j}");
             assert_eq!(sweep.points.len(), grid.len());
         }
     }
@@ -152,16 +154,27 @@ fn settling_a_whole_chain_allocates_a_fixed_number_of_buffers() {
 }
 
 #[test]
-fn tree_settlement_allocates_a_fixed_number_of_buffers() {
-    // 6 on every shape under the canonical order, whatever its size.
+fn a_warm_tree_settlement_allocates_only_its_agents() {
+    // The node rates, the bid-dependent order and the solve live in the
+    // thread's warm workspace: a settlement after one of the same tree
+    // allocates only the outcome's `agents`, on every shape, under every
+    // policy.
     for case in workloads::tree_shape_grid(0x7EE) {
-        let mech = TreeMechanism::new(case.shape);
+        let frozen = dlt::seqsearch::identity_order(&dlt::tree::canonicalize(&case.shape));
         let truthful: Vec<Conduct> = case
             .true_rates
             .iter()
             .map(|&w| Conduct::truthful(Agent::new(w)))
             .collect();
-        let (_, counts) = counted(|| mech.settle(&truthful));
-        assert_eq!(counts, budget(6, 0), "{}", case.label);
+        for policy in [
+            OrderPolicy::Canonical,
+            OrderPolicy::Frozen(frozen),
+            OrderPolicy::BidFastestEquivalentFirst,
+        ] {
+            let mech = TreeMechanism::with_order(case.shape.clone(), policy);
+            mech.settle(&truthful);
+            let (_, counts) = counted(|| mech.settle(&truthful));
+            assert_eq!(counts, budget(1, 0), "{} {:?}", case.label, mech.policy());
+        }
     }
 }

@@ -9,6 +9,9 @@
 //!   it must equal, to the bit, a frozen copy of the path it replaced,
 //!   which rebuilt the bid tree, re-ordered it with a preorder map, solved
 //!   it recursively and re-solved each parent's local star once per agent.
+//!   Its buffers stay warm per thread, so a settlement after larger and
+//!   smaller trees on one thread must equal the same settlement as the
+//!   first on a fresh thread.
 //! * `dlt::tree::solve` runs one bottom-up and one top-down pass over
 //!   preorder arrays; in preorder, it must equal a frozen copy of the
 //!   nested recursion it replaced, which re-solved every subtree once per
@@ -587,6 +590,52 @@ fn tree_settle_matches_the_frozen_rebuild_path_bitwise() {
         }
     }
     assert!(checked > 1000, "only {checked} profiles");
+}
+
+#[test]
+fn a_warm_tree_workspace_settles_like_a_fresh_thread() {
+    // Sizes alternate, largest first, so each settlement meets the
+    // leftovers of a larger and of a smaller tree.
+    let mut cases = tree_cases();
+    cases.sort_by_key(|(shape, _)| std::cmp::Reverse(shape.size()));
+    let mut alternating = Vec::with_capacity(cases.len());
+    let mut cases = std::collections::VecDeque::from(cases);
+    while let Some(large) = cases.pop_front() {
+        alternating.push(large);
+        alternating.extend(cases.pop_back());
+    }
+    let mut rng = StdRng::seed_from_u64(0x3A93);
+    let mut checked = 0;
+    for (shape, rates) in alternating {
+        let agents: Vec<Agent> = rates.iter().map(|&w| Agent::new(w)).collect();
+        let truthful: Vec<Conduct> = agents.iter().map(|&a| Conduct::truthful(a)).collect();
+        let mut profiles = vec![truthful.clone()];
+        for factor in [rng.gen_range(0.2..1.0), rng.gen_range(1.0..=5.0)] {
+            let mut lying = truthful.clone();
+            let j = rng.gen_range(0..agents.len());
+            lying[j] = Conduct::misreport(agents[j], factor);
+            profiles.push(lying);
+        }
+        let policies = [
+            OrderPolicy::Canonical,
+            OrderPolicy::Frozen(random_order(&shape, &mut rng)),
+            OrderPolicy::BidFastestEquivalentFirst,
+        ];
+        for policy in policies {
+            let mech = TreeMechanism::with_order(shape.clone(), policy);
+            for conducts in &profiles {
+                let warm = tree_bits(&mech.settle(conducts));
+                let fresh = std::thread::scope(|s| {
+                    s.spawn(|| tree_bits(&mech.settle(conducts)))
+                        .join()
+                        .unwrap()
+                });
+                assert_eq!(warm, fresh, "{:?} on {shape:?}", mech.policy());
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 250, "only {checked} settlements");
 }
 
 /// The frozen solution's `[alpha, received, equivalent]` bits, preorder.

@@ -293,10 +293,11 @@ fn f64_field(v: &Fields, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
 }
 
-/// The array field `key`'s kept numbers and its full length.
-fn vec_field<'s>(slot: &'s Option<Numbers>, key: &str) -> Result<(&'s [f64], usize), String> {
-    match slot {
-        Some(Numbers::Kept { values, len }) => Ok((values, *len)),
+/// Take the array field `key`'s kept numbers and its full length out of
+/// its slot.
+fn vec_field(slot: &mut Option<Numbers>, key: &str) -> Result<(Vec<f64>, usize), String> {
+    match slot.take() {
+        Some(Numbers::Kept { values, len }) => Ok((values, len)),
         Some(Numbers::NonNumeric) => Err(format!("non-numeric entry in {key:?}")),
         None | Some(Numbers::NotArray) => Err(format!("missing or non-array field {key:?}")),
     }
@@ -306,12 +307,13 @@ fn vec_field<'s>(slot: &'s Option<Numbers>, key: &str) -> Result<(&'s [f64], usi
 /// step. Errors carry the request's `id` when one was parseable, so the
 /// error response stays matchable by pipelining clients.
 pub fn parse_request(line: &str, quantum: f64) -> Result<Request, (Option<i64>, String)> {
-    let fields = Fields::parse(line).map_err(|e| (None, e.to_string()))?;
+    let mut fields = Fields::parse(line).map_err(|e| (None, e.to_string()))?;
     let id = fields.get("id").and_then(Value::as_i64);
-    parse_envelope(&fields, quantum, id).map_err(|msg| (id, msg))
+    parse_envelope(&mut fields, quantum, id).map_err(|msg| (id, msg))
 }
 
-fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, String> {
+/// The request in `v`. Array fields are moved out of `v` as they are used.
+fn parse_envelope(v: &mut Fields, quantum: f64, id: Option<i64>) -> Result<Request, String> {
     let deadline_ms = match v.get("deadline_ms") {
         None | Some(Value::Null) => None,
         Some(d) => Some(
@@ -349,9 +351,11 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
             };
             RequestKind::Reconfigure { quantum }
         }
-        "solve" => RequestKind::Work(WorkRequest::Solve(parse_chain(v, op, quantum)?)),
+        // Each arm names its op: `op` borrows `v`, which `parse_chain`
+        // takes the chain's arrays out of.
+        "solve" => RequestKind::Work(WorkRequest::Solve(parse_chain(v, "solve", quantum)?)),
         "submit_job" => {
-            let chain = parse_chain(v, op, quantum)?;
+            let chain = parse_chain(v, "submit_job", quantum)?;
             let load = match v.get("load") {
                 None | Some(Value::Null) => 1.0,
                 Some(l) => l
@@ -388,17 +392,17 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
             })
         }
         "job_status" => RequestKind::Job(JobOp::Status {
-            chain: parse_chain(v, op, quantum)?,
+            chain: parse_chain(v, "job_status", quantum)?,
             job_id: job_id_field(v)?,
         }),
         "cancel_job" => RequestKind::Job(JobOp::Cancel {
-            chain: parse_chain(v, op, quantum)?,
+            chain: parse_chain(v, "cancel_job", quantum)?,
             job_id: job_id_field(v)?,
         }),
         "ft_run" => {
             let root_rate = f64_field(v, "root_rate")?;
-            let (rates, rates_len) = vec_field(&v.rates, "rates")?;
-            let (links, links_len) = vec_field(&v.links, "links")?;
+            let (rates, rates_len) = vec_field(&mut v.rates, "rates")?;
+            let (links, links_len) = vec_field(&mut v.links, "links")?;
             if rates_len.max(links_len) > MAX_CHAIN_M {
                 return Err(format!(
                     "ft_run takes at most {MAX_CHAIN_M} rates and links"
@@ -427,8 +431,8 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
             };
             RequestKind::Work(WorkRequest::FtRun {
                 root_rate,
-                rates: rates.to_vec(),
-                links: links.to_vec(),
+                rates,
+                links,
                 seed,
                 crash,
             })
@@ -444,14 +448,15 @@ fn parse_envelope(v: &Fields, quantum: f64, id: Option<i64>) -> Result<Request, 
 }
 
 /// The chain fields shared by `solve` and every job op.
-fn parse_chain(v: &Fields, op: &str, quantum: f64) -> Result<CanonicalChain, String> {
+/// The decoded vectors are canonicalized in place and become the chain's.
+fn parse_chain(v: &mut Fields, op: &str, quantum: f64) -> Result<CanonicalChain, String> {
     let root = f64_field(v, "root_rate")?;
-    let (links, links_len) = vec_field(&v.links, "links")?;
-    let (bids, bids_len) = vec_field(&v.bids, "bids")?;
+    let (links, links_len) = vec_field(&mut v.links, "links")?;
+    let (bids, bids_len) = vec_field(&mut v.bids, "bids")?;
     if links_len.max(bids_len) > MAX_CHAIN_M {
         return Err(format!("{op} takes at most {MAX_CHAIN_M} links and bids"));
     }
-    quant::canonicalize(root, links, bids, quantum).ok_or_else(|| {
+    quant::canonicalize_owned(root, links, bids, quantum).ok_or_else(|| {
         "invalid chain: rates must be finite, positive, representable, with links.len() == bids.len() >= 1"
             .to_string()
     })
@@ -994,9 +999,9 @@ mod tests {
     /// `parse_request` through [`Value::parse`] and [`fields_from_tree`].
     fn parse_request_via_tree(line: &str, quantum: f64) -> Result<Request, (Option<i64>, String)> {
         let tree = Value::parse(line).map_err(|e| (None, e.to_string()))?;
-        let fields = fields_from_tree(&tree);
+        let mut fields = fields_from_tree(&tree);
         let id = fields.get("id").and_then(Value::as_i64);
-        parse_envelope(&fields, quantum, id).map_err(|msg| (id, msg))
+        parse_envelope(&mut fields, quantum, id).map_err(|msg| (id, msg))
     }
 
     #[test]

@@ -74,11 +74,24 @@ pub fn tick(rate: f64, quantum: f64) -> Option<i64> {
 /// non-finite, non-positive, quantizes to zero ticks (a rate smaller
 /// than half a quantum cannot be represented and would alias with 0), or
 /// exceeds `MAX_TICKS × quantum` (the tick computation would saturate
-/// and alias distinct chains).
+/// and alias distinct chains). Copies the rates, then runs
+/// [`canonicalize_owned`].
 pub fn canonicalize(
     root_rate: f64,
     link_rates: &[f64],
     bids: &[f64],
+    quantum: f64,
+) -> Option<CanonicalChain> {
+    canonicalize_owned(root_rate, link_rates.to_vec(), bids.to_vec(), quantum)
+}
+
+/// [`canonicalize`] over rate vectors the caller owns: each rate is
+/// replaced by its canonical value in place, and the vectors become the
+/// chain's, so only the key's ticks are allocated.
+pub fn canonicalize_owned(
+    root_rate: f64,
+    mut link_rates: Vec<f64>,
+    mut bids: Vec<f64>,
     quantum: f64,
 ) -> Option<CanonicalChain> {
     if link_rates.len() != bids.len() || bids.is_empty() {
@@ -95,16 +108,14 @@ pub fn canonicalize(
         Some(t as f64 * quantum)
     };
     let root = quantized(root_rate)?;
-    let links: Vec<f64> = link_rates
-        .iter()
-        .map(|&z| quantized(z))
-        .collect::<Option<_>>()?;
-    let bid_rates: Vec<f64> = bids.iter().map(|&b| quantized(b)).collect::<Option<_>>()?;
+    for r in link_rates.iter_mut().chain(bids.iter_mut()) {
+        *r = quantized(*r)?;
+    }
     Some(CanonicalChain {
         key: ChainKey { m, ticks },
         root_rate: root,
-        link_rates: links,
-        bids: bid_rates,
+        link_rates,
+        bids,
     })
 }
 

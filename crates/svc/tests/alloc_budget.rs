@@ -107,7 +107,10 @@ fn chain(m: usize) -> CanonicalChain {
 
 #[test]
 fn parse_request_allocations_are_pinned() {
-    for (m, want) in [(4, budget(7, 0)), (16, budget(7, 8)), (64, budget(7, 16))] {
+    // `links` and `bids` are canonicalized in the vectors they were
+    // decoded into, so the chain costs only its key's ticks beyond them;
+    // the reallocations left are those two vectors growing while decoded.
+    for (m, want) in [(4, budget(5, 0)), (16, budget(5, 4)), (64, budget(5, 8))] {
         let line = solve_line(m);
         let (parsed, counts) = counted(|| handlers::parse_request(&line, svc::DEFAULT_QUANTUM));
         assert!(parsed.is_ok());
