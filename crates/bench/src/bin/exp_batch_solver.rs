@@ -27,26 +27,12 @@
 //! cargo run --release -p bench --bin exp_batch_solver
 //! ```
 
-use bench::{JsonReport, Table};
+use bench::{env_or, JsonReport, Table};
 use dlt::batch::{self, BatchScratch, BatchSolution};
 use dlt::linear::reference;
 use std::hint::black_box;
 use std::time::Instant;
 use workloads::{ChainConfig, ChainShape};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     if let Some(path) = obs::init_from_env() {
@@ -58,7 +44,7 @@ fn main() {
     let mut txt = String::new();
 
     // ── 1. Identity tally over the E2 shape grid ────────────────────────
-    let trials = env_usize("DLS_E27_TRIALS", 500) as u64;
+    let trials = env_or("DLS_E27_TRIALS", 500u64);
     let mut chains_checked = 0usize;
     let mut chains_identical = 0usize;
     let mut suffixes_checked = 0usize;
@@ -114,9 +100,9 @@ fn main() {
     println!();
 
     // ── 2. Amortized throughput: scalar loop vs batch kernel ────────────
-    let max_batch = env_usize("DLS_E27_MAX_BATCH", 32_768);
-    let rep_chains = env_usize("DLS_E27_REP_CHAINS", 262_144);
-    let min_speedup = env_f64("DLS_E27_MIN_SPEEDUP", 2.0);
+    let max_batch = env_or("DLS_E27_MAX_BATCH", 32_768usize);
+    let rep_chains = env_or("DLS_E27_REP_CHAINS", 262_144usize);
+    let min_speedup = env_or("DLS_E27_MIN_SPEEDUP", 2.0f64);
     let cfg = ChainConfig {
         processors: 16,
         ..Default::default()

@@ -12,35 +12,9 @@
 //! cargo run --release -p bench --bin exp_fault_sweep
 //! ```
 
-use bench::{sweep, JsonReport, Table};
-use protocol::{run_with_faults, FaultKind, FaultPlan, Scenario};
-use workloads::{crash_position_grid, crash_time_grid, seeded_cases, FaultCase, FaultCaseKind};
-
-fn to_plan(case: &FaultCase) -> FaultPlan {
-    let kind = match case.kind {
-        FaultCaseKind::Crash => FaultKind::Crash {
-            phase: case.phase,
-            progress: case.progress,
-        },
-        FaultCaseKind::Stall => FaultKind::Stall {
-            progress: case.progress,
-        },
-        FaultCaseKind::DropMessage => FaultKind::DropMessage { phase: case.phase },
-        FaultCaseKind::DelayMessage => FaultKind::DelayMessage {
-            phase: case.phase,
-            delay: case.delay,
-        },
-        FaultCaseKind::CorruptMessage => FaultKind::CorruptMessage { phase: case.phase },
-    };
-    FaultPlan::none().with_event(case.node, kind)
-}
-
-/// A heterogeneous chain with `m` strategic processors.
-fn chain(m: usize) -> Scenario {
-    let true_rates: Vec<f64> = (0..m).map(|j| 0.6 + 0.8 * ((j * 5 % 4) as f64)).collect();
-    let link_rates: Vec<f64> = (0..m).map(|j| 0.1 + 0.12 * ((j * 3 % 3) as f64)).collect();
-    Scenario::honest(1.0, true_rates, link_rates)
-}
+use bench::{fault_chain, fault_plan, sweep, JsonReport, Table};
+use protocol::{run_with_faults, FaultPlan, Scenario};
+use workloads::{crash_position_grid, crash_time_grid, seeded_cases};
 
 fn check_invariants(s: &Scenario, plan: &FaultPlan, tag: &str) -> protocol::FtRunReport {
     let ft = run_with_faults(s, plan).expect("valid plan");
@@ -72,7 +46,7 @@ fn main() {
     // ---- Overhead vs crash position (node × phase), per chain size ----
     println!("crash position sweep: relative makespan overhead (makespan / fault-free − 1)");
     for m in 2..=7usize {
-        let s = chain(m);
+        let s = fault_chain(m);
         let mut t = Table::new(&["node", "phase 1", "phase 2", "phase 3 @0.5", "phase 4"]);
         for node in 1..=m {
             let mut cells = vec![format!("P{node}")];
@@ -97,13 +71,13 @@ fn main() {
     }
 
     // ---- Recovery overhead vs crash time (Phase III progress) ----
-    let s = chain(4);
+    let s = fault_chain(4);
     let node = 2;
     println!("recovery overhead vs crash time (m = 4, crash of P{node} in Phase III):");
     let mut t = Table::new(&["progress", "residual", "abs overhead", "rel overhead"]);
     let mut overheads = Vec::new();
     for case in crash_time_grid(node, 11) {
-        let ft = check_invariants(&s, &to_plan(&case), &case.label());
+        let ft = check_invariants(&s, &fault_plan(&[case]), &case.label());
         overheads.push(ft.overhead());
         t.row(vec![
             format!("{:.1}", case.progress),
@@ -124,11 +98,12 @@ fn main() {
     // ---- Full position grid + mixed seeded faults, in parallel ----
     let grid_runs: usize = (2..=7)
         .map(|m| {
-            let s = chain(m);
+            let s = fault_chain(m);
             let grid = crash_position_grid(m, &[0.0, 0.25, 0.5, 0.75, 1.0]);
             let results = sweep(0..grid.len() as u64, |i| {
                 let case = &grid[i as usize];
-                check_invariants(&s, &to_plan(case), &case.label()).overhead()
+                check_invariants(&s, &fault_plan(std::slice::from_ref(case)), &case.label())
+                    .overhead()
             });
             assert_eq!(results.len(), grid.len());
             results.len()
@@ -136,11 +111,11 @@ fn main() {
         .sum();
     let mixed_runs: usize = (2..=7)
         .map(|m| {
-            let s = chain(m);
+            let s = fault_chain(m);
             let cases = seeded_cases(0xE20, m, 40);
             let results = sweep(0..cases.len() as u64, |i| {
                 let case = &cases[i as usize];
-                check_invariants(&s, &to_plan(case), &case.label());
+                check_invariants(&s, &fault_plan(std::slice::from_ref(case)), &case.label());
             });
             results.len()
         })

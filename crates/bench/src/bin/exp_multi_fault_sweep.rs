@@ -13,45 +13,12 @@
 //! cargo run --release -p bench --bin exp_multi_fault_sweep
 //! ```
 
-use bench::{sweep, JsonReport, Table};
-use protocol::{run_with_faults, run_with_faults_single, FaultKind, FaultPlan, Scenario};
-use workloads::{
-    cascade_grid, crash_pair_grid, multi_label, seeded_multi_cases, FaultCase, FaultCaseKind,
-};
-
-fn to_plan(cases: &[FaultCase]) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    for case in cases {
-        let kind = match case.kind {
-            FaultCaseKind::Crash => FaultKind::Crash {
-                phase: case.phase,
-                progress: case.progress,
-            },
-            FaultCaseKind::Stall => FaultKind::Stall {
-                progress: case.progress,
-            },
-            FaultCaseKind::DropMessage => FaultKind::DropMessage { phase: case.phase },
-            FaultCaseKind::DelayMessage => FaultKind::DelayMessage {
-                phase: case.phase,
-                delay: case.delay,
-            },
-            FaultCaseKind::CorruptMessage => FaultKind::CorruptMessage { phase: case.phase },
-        };
-        plan = plan.with_event(case.node, kind);
-    }
-    plan
-}
-
-/// The E20 heterogeneous chain with `m` strategic processors, so the two
-/// sweeps stress the same workloads.
-fn chain(m: usize) -> Scenario {
-    let true_rates: Vec<f64> = (0..m).map(|j| 0.6 + 0.8 * ((j * 5 % 4) as f64)).collect();
-    let link_rates: Vec<f64> = (0..m).map(|j| 0.1 + 0.12 * ((j * 3 % 3) as f64)).collect();
-    Scenario::honest(1.0, true_rates, link_rates)
-}
+use bench::{fault_chain, fault_plan, sweep, JsonReport, Table};
+use protocol::{run_with_faults, run_with_faults_single, Scenario};
+use workloads::{cascade_grid, crash_pair_grid, multi_label, seeded_multi_cases, FaultCase};
 
 fn check_invariants(s: &Scenario, cases: &[FaultCase], tag: &str) -> protocol::FtRunReport {
-    let plan = to_plan(cases);
+    let plan = fault_plan(cases);
     let ft = run_with_faults(s, &plan).expect("valid plan");
     assert!(
         ft.load_conserved(1e-9),
@@ -93,7 +60,7 @@ fn main() {
     println!("crash pairs: relative makespan overhead (makespan / fault-free − 1)");
     let mut pair_runs = 0usize;
     for m in 3..=6usize {
-        let s = chain(m);
+        let s = fault_chain(m);
         let mut t = Table::new(&["phases", "pairs", "mean overhead", "max overhead"]);
         for &(pa, pb) in &PHASE_PAIRS {
             let grid = crash_pair_grid(m, &[(pa, pb)], 0.5);
@@ -123,7 +90,7 @@ fn main() {
 
     // ---- Recovery-during-recovery cascades of increasing depth ----
     let m = 6usize;
-    let s = chain(m);
+    let s = fault_chain(m);
     println!("cascade depth sweep (m = {m}, Phase III crashes stacked from P1):");
     let mut t = Table::new(&[
         "depth",
@@ -164,7 +131,7 @@ fn main() {
     // ---- Seeded mixed multi-failure batches, in parallel ----
     let seeded_runs: usize = (2..=7)
         .map(|m| {
-            let s = chain(m);
+            let s = fault_chain(m);
             let batch = seeded_multi_cases(0xE22, m, 60, 3);
             let results = sweep(0..batch.len() as u64, |i| {
                 let cases = &batch[i as usize];

@@ -33,7 +33,7 @@
 //! cargo run --release -p bench --bin exp_multi_job
 //! ```
 
-use bench::{JsonReport, Table};
+use bench::{env_or, JsonReport, Table};
 use dlt::model::LinearNetwork;
 use dlt::multiround;
 use mechanism::payment::jobs_batch_utility;
@@ -41,13 +41,6 @@ use minijson::Value;
 use svc::{serve, Client, ServerConfig};
 use workloads::requests::{self, JobMixConfig};
 use workloads::ChainConfig;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Deterministic batch loads: mixed sizes, no RNG needed.
 fn batch_loads(n: usize) -> Vec<f64> {
@@ -65,8 +58,8 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results/");
 
     // ── 1. Pipelined vs sequential over the grid ────────────────────────
-    let seeds = env_usize("DLS_E28_SEEDS", 5) as u64;
-    let max_rounds = env_usize("DLS_E28_MAX_ROUNDS", 16);
+    let seeds = env_or("DLS_E28_SEEDS", 5u64);
+    let max_rounds = env_or("DLS_E28_MAX_ROUNDS", 16usize);
     let mut t = Table::new(&[
         "m",
         "jobs",
@@ -136,7 +129,7 @@ fn main() {
     mirror.scalar("grid_worst_excess", worst_excess);
 
     // ── 2. Jobs-mode strategyproofness (E2-style bid sweep) ─────────────
-    let sweep_seeds = env_usize("DLS_E28_SWEEP_SEEDS", 3) as u64;
+    let sweep_seeds = env_or("DLS_E28_SWEEP_SEEDS", 3u64);
     let factors: Vec<f64> = vec![0.25, 0.5, 0.8, 0.9, 0.95, 1.05, 1.1, 1.25, 2.0, 4.0];
     let loads = batch_loads(5);
     let mut sweeps = 0usize;
@@ -225,7 +218,7 @@ fn main() {
 
     // ── 4. Served job mix: conservation + per-report pipelining bound ───
     let mix = JobMixConfig {
-        total: env_usize("DLS_E28_MIX", 128),
+        total: env_or("DLS_E28_MIX", 128usize),
         distinct_chains: 6,
         processors: 5,
         comm_startup: 0.02,

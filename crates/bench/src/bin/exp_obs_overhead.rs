@@ -20,18 +20,11 @@
 //! cargo run --release -p bench --bin exp_obs_overhead
 //! ```
 
-use bench::{JsonReport, Table};
+use bench::{fault_chain, JsonReport, Table};
 use obs::{JsonlSink, MemorySink, NoopSink};
-use protocol::{run, run_with_faults, FaultKind, FaultPlan, FtRunReport, RunReport, Scenario};
+use protocol::{run, run_with_faults, FaultKind, FaultPlan, FtRunReport, RunReport};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A heterogeneous chain with `m` strategic processors (the E20 topology).
-fn chain(m: usize) -> Scenario {
-    let true_rates: Vec<f64> = (0..m).map(|j| 0.6 + 0.8 * ((j * 5 % 4) as f64)).collect();
-    let link_rates: Vec<f64> = (0..m).map(|j| 0.1 + 0.12 * ((j * 3 % 3) as f64)).collect();
-    Scenario::honest(1.0, true_rates, link_rates)
-}
 
 /// Crash plans covering every node and phase of the 6-node chain, plus a
 /// stall, a drop, a delay and a corruption — the fault side of the
@@ -59,8 +52,8 @@ fn fault_plans(m: usize) -> Vec<FaultPlan> {
 
 /// The fixed workload every recorder configuration executes.
 fn workload() -> (Vec<RunReport>, Vec<FtRunReport>) {
-    let plain: Vec<RunReport> = (2..=5).map(|m| run(&chain(m))).collect();
-    let s = chain(5); // 6-node chain: root + 5 strategic processors
+    let plain: Vec<RunReport> = (2..=5).map(|m| run(&fault_chain(m))).collect();
+    let s = fault_chain(5); // 6-node chain: root + 5 strategic processors
     let faulty: Vec<FtRunReport> = fault_plans(5)
         .iter()
         .map(|plan| run_with_faults(&s, plan).expect("valid plan"))
@@ -164,7 +157,7 @@ fn main() {
     let trace_path = "results/exp_obs_overhead.trace.jsonl";
     let sink = JsonlSink::create(trace_path).expect("create trace file");
     obs::install(Arc::new(sink));
-    let s = chain(5);
+    let s = fault_chain(5);
     let mut sweep_runs = 0usize;
     for plan in fault_plans(5) {
         run_with_faults(&s, &plan).expect("valid plan");

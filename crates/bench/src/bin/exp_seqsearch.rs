@@ -34,20 +34,13 @@
 //! cargo run --release -p bench --bin exp_seqsearch
 //! ```
 
-use bench::{JsonReport, Table};
+use bench::{env_or, JsonReport, Table};
 use dlt::seqsearch::{
     exhaustive_search, local_search, order_space_size, orderable_nodes, LocalSearchConfig,
 };
 use mechanism::equilibrium::{best_response_dynamics, BidGame};
 use mechanism::{Agent, OrderPolicy, TreeMechanism};
 use workloads::{misreport_factors, order_search_grid};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     if let Some(path) = obs::init_from_env() {
@@ -58,11 +51,11 @@ fn main() {
     let mut mirror = JsonReport::new("exp_seqsearch");
     let mut txt = String::new();
 
-    let seed = env_u64("DLS_E29_SEED", 0xE29);
-    let budget = env_u64("DLS_E29_BUDGET", 5_040);
+    let seed = env_or("DLS_E29_SEED", 0xE29u64);
+    let budget = env_or("DLS_E29_BUDGET", 5_040u64);
     let cfg = LocalSearchConfig {
-        restarts: env_u64("DLS_E29_RESTARTS", 3) as usize,
-        max_steps: env_u64("DLS_E29_MAX_STEPS", 200) as usize,
+        restarts: env_or("DLS_E29_RESTARTS", 3usize),
+        max_steps: env_or("DLS_E29_MAX_STEPS", 200usize),
         ..Default::default()
     };
     let grid = order_search_grid(seed);

@@ -14,39 +14,12 @@
 //! cargo run --release -p bench --bin exp_tree_fault_sweep
 //! ```
 
-use bench::{sweep, JsonReport, Table};
+use bench::{fault_plan, sweep, JsonReport, Table};
 use dlt::model::TreeNode;
-use protocol::{
-    run_tree_with_faults, run_with_faults, FaultKind, FaultPlan, FtTreeRunReport, Scenario,
-    TreeScenario,
-};
+use protocol::{run_tree_with_faults, run_with_faults, FtTreeRunReport, Scenario, TreeScenario};
 use workloads::{
-    crash_position_grid, multi_label, seeded_multi_cases, tree_shape_grid, FaultCase,
-    FaultCaseKind, TreeFaultCase,
+    crash_position_grid, multi_label, seeded_multi_cases, tree_shape_grid, FaultCase, TreeFaultCase,
 };
-
-fn to_plan(cases: &[FaultCase]) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    for case in cases {
-        let kind = match case.kind {
-            FaultCaseKind::Crash => FaultKind::Crash {
-                phase: case.phase,
-                progress: case.progress,
-            },
-            FaultCaseKind::Stall => FaultKind::Stall {
-                progress: case.progress,
-            },
-            FaultCaseKind::DropMessage => FaultKind::DropMessage { phase: case.phase },
-            FaultCaseKind::DelayMessage => FaultKind::DelayMessage {
-                phase: case.phase,
-                delay: case.delay,
-            },
-            FaultCaseKind::CorruptMessage => FaultKind::CorruptMessage { phase: case.phase },
-        };
-        plan = plan.with_event(case.node, kind);
-    }
-    plan
-}
 
 fn is_path(node: &TreeNode) -> bool {
     node.children.len() <= 1 && node.children.iter().all(|(_, c)| is_path(c))
@@ -66,7 +39,7 @@ fn chain_of_path(s: &TreeScenario) -> Scenario {
 }
 
 fn check_invariants(s: &TreeScenario, cases: &[FaultCase], tag: &str) -> FtTreeRunReport {
-    let plan = to_plan(cases);
+    let plan = fault_plan(cases);
     let ft = run_tree_with_faults(s, &plan).expect("valid plan");
     assert!(
         ft.load_conserved(1e-9),

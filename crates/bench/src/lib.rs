@@ -2,8 +2,10 @@
 //!
 //! Each experiment from DESIGN.md §4 is a binary in `src/bin/exp_*.rs`;
 //! this library holds the shared plumbing: aligned table printing, summary
-//! statistics, machine-readable JSON mirrors of the text reports, and the
-//! map over seeds that drives the wide sweeps.
+//! statistics, machine-readable JSON mirrors of the text reports, the
+//! map over seeds that drives the wide sweeps, the environment overrides
+//! of the experiment sizes, and the chain and fault plans the fault sweeps
+//! share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -11,6 +13,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use minijson::Value;
+use protocol::{FaultKind, FaultPlan, Scenario};
+use workloads::{FaultCase, FaultCaseKind};
 
 /// A plain-text table printer with right-aligned columns.
 #[derive(Debug, Default)]
@@ -203,6 +207,48 @@ impl Stats {
 /// their events in a fixed order.
 pub fn sweep<T>(seeds: std::ops::Range<u64>, f: impl Fn(u64) -> T) -> Vec<T> {
     seeds.map(f).collect()
+}
+
+/// The environment variable `name` parsed as a `T`, or `default` when it
+/// is unset or does not parse: the experiments' size and seed overrides.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The E20 heterogeneous chain with `m` strategic processors, so the
+/// fault sweeps (E20, E22) and the observability workload (E21) stress
+/// the same chains.
+pub fn fault_chain(m: usize) -> Scenario {
+    let true_rates: Vec<f64> = (0..m).map(|j| 0.6 + 0.8 * ((j * 5 % 4) as f64)).collect();
+    let link_rates: Vec<f64> = (0..m).map(|j| 0.1 + 0.12 * ((j * 3 % 3) as f64)).collect();
+    Scenario::honest(1.0, true_rates, link_rates)
+}
+
+/// The fault plan that injects every case of `cases`, in order.
+pub fn fault_plan(cases: &[FaultCase]) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    for case in cases {
+        let kind = match case.kind {
+            FaultCaseKind::Crash => FaultKind::Crash {
+                phase: case.phase,
+                progress: case.progress,
+            },
+            FaultCaseKind::Stall => FaultKind::Stall {
+                progress: case.progress,
+            },
+            FaultCaseKind::DropMessage => FaultKind::DropMessage { phase: case.phase },
+            FaultCaseKind::DelayMessage => FaultKind::DelayMessage {
+                phase: case.phase,
+                delay: case.delay,
+            },
+            FaultCaseKind::CorruptMessage => FaultKind::CorruptMessage { phase: case.phase },
+        };
+        plan = plan.with_event(case.node, kind);
+    }
+    plan
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub mod timeline;
 
 pub use clock::RunClock;
 pub use metrics::{percentile, Histogram, Summary};
-pub use record::{Field, FieldValue, Record, RecordKind};
+pub use record::{Field, FieldValue, OptionalField, Record, RecordKind};
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink};
 pub use timeline::{PhaseSpan, PhaseTimeline, TimelineKind};
 
@@ -282,9 +282,29 @@ pub fn histogram_with(name: &'static str, value: f64, fields: Vec<Field>) {
     });
 }
 
+/// The field list of one record, in the order written. A field whose
+/// value is an `Option` is left out when it is `None`.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __fields {
+    () => {
+        ::std::vec::Vec::new()
+    };
+    ($($k:literal => $v:expr),+) => {{
+        let mut fields: ::std::vec::Vec<$crate::Field> =
+            ::std::vec::Vec::with_capacity(<[&str]>::len(&[$($k),+]));
+        $(
+            if let ::std::option::Option::Some(v) = $crate::OptionalField::into_field($v) {
+                fields.push(($k, v));
+            }
+        )+
+        fields
+    }};
+}
+
 /// Open a span: `obs::span!("name")`, `obs::span!("name", vt = t)`, with
-/// trailing `"key" => value` fields. Fields are not constructed when
-/// instrumentation is disabled.
+/// trailing `"key" => value` fields (an `Option` value is left out when
+/// `None`). Fields are not constructed when instrumentation is disabled.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $k:literal => $v:expr)* $(,)?) => {
@@ -292,7 +312,7 @@ macro_rules! span {
     };
     ($name:expr, vt = $vt:expr $(, $k:literal => $v:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::span_with($name, $vt, vec![$(($k, $crate::FieldValue::from($v))),*])
+            $crate::span_with($name, $vt, $crate::__fields!($($k => $v),*))
         } else {
             $crate::span_with($name, f64::NAN, Vec::new())
         }
@@ -308,7 +328,7 @@ macro_rules! event {
     };
     ($name:expr, vt = $vt:expr $(, $k:literal => $v:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::event_with($name, $vt, vec![$(($k, $crate::FieldValue::from($v))),*]);
+            $crate::event_with($name, $vt, $crate::__fields!($($k => $v),*));
         }
     };
 }
@@ -322,7 +342,7 @@ macro_rules! count {
     };
     ($name:expr, by = $delta:expr $(, $k:literal => $v:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::counter_with($name, $delta, vec![$(($k, $crate::FieldValue::from($v))),*]);
+            $crate::counter_with($name, $delta, $crate::__fields!($($k => $v),*));
         }
     };
 }
@@ -332,7 +352,7 @@ macro_rules! count {
 macro_rules! hist {
     ($name:expr, $value:expr $(, $k:literal => $v:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::histogram_with($name, $value, vec![$(($k, $crate::FieldValue::from($v))),*]);
+            $crate::histogram_with($name, $value, $crate::__fields!($($k => $v),*));
         }
     };
 }
@@ -393,6 +413,45 @@ mod tests {
             .find(|r| r.kind == RecordKind::Event)
             .unwrap();
         assert_ne!(ev.span, 0);
+    }
+
+    #[test]
+    fn option_fields_render_as_the_plain_field_or_not_at_all() {
+        let _g = LOCK.lock().unwrap();
+        let sink = Arc::new(MemorySink::new());
+        install(sink.clone());
+        let (some, none) = (Some(7u64), None::<u64>);
+        {
+            let _a = span!("s", "trace" => some, "op" => "solve");
+            let _b = span!("s", "trace" => 7u64, "op" => "solve");
+            let _c = span!("s", "trace" => none, "op" => "solve");
+            let _d = span!("s", "op" => "solve");
+        }
+        event!("e", "slot" => 1usize, "trace" => some);
+        event!("e", "slot" => 1usize, "trace" => 7u64);
+        event!("e", "slot" => 1usize, "trace" => none);
+        event!("e", "slot" => 1usize);
+        count!("c", "trace" => some);
+        count!("c", "trace" => 7u64);
+        count!("c", "trace" => none);
+        count!("c");
+        hist!("h", 0.5, "trace" => some);
+        hist!("h", 0.5, "trace" => 7u64);
+        hist!("h", 0.5, "trace" => none);
+        hist!("h", 0.5);
+        uninstall();
+        let fields: Vec<(RecordKind, Vec<Field>)> = sink
+            .records()
+            .into_iter()
+            .filter(|r| r.kind != RecordKind::SpanEnd)
+            .map(|r| (r.kind, r.fields))
+            .collect();
+        assert_eq!(fields.len(), 16);
+        for quad in fields.chunks(4) {
+            assert_eq!(quad[0], quad[1], "Some(v) renders as v");
+            assert_eq!(quad[2], quad[3], "None leaves the field out");
+            assert_ne!(quad[0], quad[2]);
+        }
     }
 
     #[test]

@@ -57,6 +57,31 @@ impl From<String> for FieldValue {
     }
 }
 
+/// A value the instrumentation macros accept for a field: anything that
+/// converts to a [`FieldValue`], or an `Option` of one. `None` leaves the
+/// field out of the record; `Some(v)` renders exactly as `v`.
+pub trait OptionalField {
+    /// The field's value, or `None` to leave the field out.
+    fn into_field(self) -> Option<FieldValue>;
+}
+
+impl<T: Into<FieldValue>> OptionalField for Option<T> {
+    fn into_field(self) -> Option<FieldValue> {
+        self.map(Into::into)
+    }
+}
+
+macro_rules! always_present {
+    ($($t:ty),*) => {
+        $(impl OptionalField for $t {
+            fn into_field(self) -> Option<FieldValue> {
+                Some(self.into())
+            }
+        })*
+    };
+}
+always_present!(f64, u64, usize, u8, bool, &str, String);
+
 impl FieldValue {
     /// Convert to a JSON value.
     pub fn to_value(&self) -> Value {

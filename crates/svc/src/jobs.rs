@@ -277,10 +277,7 @@ pub fn submit(
     let mut inner = jobs.inner.lock().unwrap();
     let id = NEXT_JOB_ID.fetch_add(1, Ordering::Relaxed);
     jobs.submitted.fetch_add(1, Ordering::Relaxed);
-    match trace {
-        Some(t) => obs::event!("job.submit", "job" => id, "m" => key.m, "trace" => t),
-        None => obs::event!("job.submit", "job" => id, "m" => key.m),
-    }
+    obs::event!("job.submit", "job" => id, "m" => key.m, "trace" => trace);
     let draining = ctx.draining.load(Ordering::SeqCst);
     if draining || inner.queued_total >= jobs.max_queued {
         jobs.rejected.fetch_add(1, Ordering::Relaxed);
@@ -461,10 +458,7 @@ fn finish_job(
     finish: Option<f64>,
     rounds: usize,
 ) {
-    match pending.trace {
-        Some(t) => obs::event!("job.done", "job" => pending.id, "trace" => t),
-        None => obs::event!("job.done", "job" => pending.id),
-    }
+    obs::event!("job.done", "job" => pending.id, "trace" => pending.trace);
     {
         let mut inner = ctx.jobs.inner.lock().unwrap();
         if let Some(rec) = inner.records.get_mut(&pending.id) {
@@ -566,12 +560,7 @@ fn process_batch(ctx: &ServiceCtx, batch: &[PendingJob]) {
         let share = 1.0 / job.rounds as f64;
         let mut ledger = JobLedger::new(m);
         for r in 0..job.rounds {
-            match p.trace {
-                Some(t) => {
-                    obs::event!("job.installment", "job" => p.id, "round" => r as u64, "trace" => t)
-                }
-                None => obs::event!("job.installment", "job" => p.id, "round" => r as u64),
-            }
+            obs::event!("job.installment", "job" => p.id, "round" => r as u64, "trace" => p.trace);
             let postings: Vec<PaymentInputs> = (1..=m)
                 .map(|i| {
                     let amount = job.total_alloc.alpha(i) * share * load;

@@ -57,8 +57,9 @@
 //! [`telemetry`] threads an optional per-request trace id through every
 //! hop (router accept → failover attempts → shard queue → cache → solve,
 //! plus client retries, breaker transitions and supervisor restarts) and
-//! renders the `metrics` op's Prometheus text. Experiment E26
-//! (`exp_fleet_telemetry`) proves tracing never changes response bytes;
+//! renders the `metrics` op's Prometheus text. Experiment E26 (the
+//! traced runs of `exp_serve_chaos`) proves tracing never changes
+//! response bytes;
 //! `dls-trace --fleet` joins the per-process JSONL files by trace id and
 //! checks per-request conservation.
 

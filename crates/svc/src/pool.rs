@@ -72,24 +72,18 @@ pub fn execute(worker: usize, ctx: &ServiceCtx, job: &Job) -> String {
     let endpoint = job.request.endpoint();
     // The span + queue-wait sample carry the trace id when the request
     // has one; both cost nothing while instrumentation is disabled.
-    let _span = match job.trace {
-        Some(t) => {
-            obs::span!("svc.execute", "trace" => t, "op" => endpoint.name(), "worker" => worker)
-        }
-        None => obs::span!("svc.execute", "op" => endpoint.name(), "worker" => worker),
-    };
+    let _span = obs::span!(
+        "svc.execute",
+        "trace" => job.trace,
+        "op" => endpoint.name(),
+        "worker" => worker
+    );
     let waited = job.enqueued.elapsed();
-    match job.trace {
-        Some(t) => obs::hist!("svc.queue_wait_us", waited.as_secs_f64() * 1e6, "trace" => t),
-        None => obs::hist!("svc.queue_wait_us", waited.as_secs_f64() * 1e6),
-    }
+    obs::hist!("svc.queue_wait_us", waited.as_secs_f64() * 1e6, "trace" => job.trace);
     if waited > job.deadline {
         ctx.stats.on_timeout();
         ctx.stats.on_completed(false);
-        match job.trace {
-            Some(t) => obs::count!("svc.timeout", "trace" => t),
-            None => obs::count!("svc.timeout"),
-        }
+        obs::count!("svc.timeout", "trace" => job.trace);
         return handlers::timeout_response(job.id, job.deadline.as_millis() as u64);
     }
     obs::count!("svc.requests");
@@ -98,12 +92,12 @@ pub fn execute(worker: usize, ctx: &ServiceCtx, job: &Job) -> String {
             let (body, hit) = ctx
                 .cache
                 .get_or_insert(&chain.key, || handlers::solve_body(chain));
-            match (hit, job.trace) {
-                (true, Some(t)) => obs::count!("svc.cache.hit", "trace" => t),
-                (true, None) => obs::count!("svc.cache.hit"),
-                (false, Some(t)) => obs::count!("svc.cache.miss", "trace" => t),
-                (false, None) => obs::count!("svc.cache.miss"),
-            }
+            let counter = if hit {
+                "svc.cache.hit"
+            } else {
+                "svc.cache.miss"
+            };
+            obs::count!(counter, "trace" => job.trace);
             ctx.stats.on_completed(false);
             handlers::ok_response(job.id, Some(hit), &body)
         }
@@ -126,10 +120,7 @@ pub fn execute(worker: usize, ctx: &ServiceCtx, job: &Job) -> String {
     };
     let micros = job.enqueued.elapsed().as_secs_f64() * 1e6;
     ctx.stats.record_latency(worker, endpoint, micros);
-    match job.trace {
-        Some(t) => obs::hist!("svc.latency_us", micros, "trace" => t),
-        None => obs::hist!("svc.latency_us", micros),
-    }
+    obs::hist!("svc.latency_us", micros, "trace" => job.trace);
     response
 }
 

@@ -190,10 +190,7 @@ impl ResilientClient {
             self.breaker = Breaker::Open;
             self.open_until = Some(std::time::Instant::now() + self.policy.breaker_cooldown);
             self.stats.breaker_opens += 1;
-            match trace {
-                Some(t) => obs::count!("client.breaker.open", "trace" => t),
-                None => obs::count!("client.breaker.open"),
-            }
+            obs::count!("client.breaker.open", "trace" => trace);
         } else {
             self.breaker = Breaker::Closed {
                 consecutive_failures: failures,
@@ -204,10 +201,7 @@ impl ResilientClient {
     fn on_success(&mut self, trace: Option<u64>) {
         if self.breaker == Breaker::Open {
             // Half-open probe succeeded: the breaker closes again.
-            match trace {
-                Some(t) => obs::event!("client.breaker.close", "trace" => t),
-                None => obs::event!("client.breaker.close"),
-            }
+            obs::event!("client.breaker.close", "trace" => trace);
         }
         self.breaker = Breaker::Closed {
             consecutive_failures: 0,
@@ -247,21 +241,13 @@ impl ResilientClient {
         } else {
             None
         };
-        let _span = match trace {
-            Some(t) => obs::span!("client.call", "trace" => t),
-            None => obs::span!("client.call"),
-        };
+        let _span = obs::span!("client.call", "trace" => trace);
         let mut last_error = String::from("no attempt made");
         let mut rejections: u32 = 0;
         for attempt in 1..=self.policy.max_attempts.max(1) {
             if attempt > 1 {
                 self.stats.retries += 1;
-                match trace {
-                    Some(t) => {
-                        obs::event!("client.retry", "trace" => t, "attempt" => attempt as u64)
-                    }
-                    None => obs::event!("client.retry", "attempt" => attempt as u64),
-                }
+                obs::event!("client.retry", "trace" => trace, "attempt" => attempt as u64);
             }
             // Open breaker: wait out the cooldown, then probe half-open.
             if self.breaker == Breaker::Open {
@@ -298,10 +284,7 @@ impl ResilientClient {
                             self.on_success(trace);
                             rejections += 1;
                             self.stats.rejections += 1;
-                            match trace {
-                                Some(t) => obs::count!("client.rejected", "trace" => t),
-                                None => obs::count!("client.rejected"),
-                            }
+                            obs::count!("client.rejected", "trace" => trace);
                             let hint = value
                                 .get("retry_after_ms")
                                 .and_then(Value::as_u64)

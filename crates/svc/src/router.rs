@@ -16,7 +16,8 @@
 //! key therefore re-solves on its new shard to a **bit-identical**
 //! response (modulo the `cached` flag) — failover can serve stale or
 //! wrong data only if the solve itself were nondeterministic, which the
-//! E25 harness (`exp_serve_chaos`) disproves under every chaos plan.
+//! E25/E26 harness (`exp_serve_chaos`) disproves under every chaos plan,
+//! traced and untraced.
 //!
 //! ### Relaying
 //! Shard responses are relayed as **raw bytes** ([`Client::call_raw`]):
@@ -62,8 +63,6 @@ use std::time::{Duration, Instant};
 
 /// Connect/read/write timeout for each shard hop.
 const SHARD_TIMEOUT: Duration = Duration::from_secs(2);
-/// Consecutive failures before a slot is marked down.
-const FAILURE_THRESHOLD: u64 = 1;
 
 /// One shard slot: where it lives and how it is doing.
 struct Slot {
@@ -84,8 +83,6 @@ struct Slot {
     /// Backpressure rejections this slot answered that the router
     /// relayed unchanged.
     relayed_rejections: AtomicU64,
-    /// Consecutive forwarding/probe failures.
-    consecutive_failures: AtomicU64,
 }
 
 /// Live view of slot `i`, as reported by [`ShardDirectory::snapshot`].
@@ -142,7 +139,6 @@ impl ShardDirectory {
                     forwarded: AtomicU64::new(0),
                     failovers: AtomicU64::new(0),
                     relayed_rejections: AtomicU64::new(0),
-                    consecutive_failures: AtomicU64::new(0),
                 })
                 .collect(),
         })
@@ -164,7 +160,6 @@ impl ShardDirectory {
         let s = &self.slots[slot];
         *s.addr.lock().unwrap() = Some(addr);
         s.generation.fetch_add(1, Ordering::SeqCst);
-        s.consecutive_failures.store(0, Ordering::SeqCst);
         s.healthy.store(true, Ordering::SeqCst);
     }
 
@@ -173,26 +168,15 @@ impl ShardDirectory {
         self.slots[slot].restarts.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Take `slot` out of rotation (shard died or was killed).
+    /// Take `slot` out of rotation: the shard died or was killed, or a
+    /// forward or probe to it failed.
     pub fn mark_down(&self, slot: usize) {
         self.slots[slot].healthy.store(false, Ordering::SeqCst);
     }
 
     /// Put `slot` back in rotation (probe succeeded).
     pub fn mark_healthy(&self, slot: usize) {
-        let s = &self.slots[slot];
-        s.consecutive_failures.store(0, Ordering::SeqCst);
-        s.healthy.store(true, Ordering::SeqCst);
-    }
-
-    /// Record a forwarding/probe failure; downs the slot at `threshold`
-    /// consecutive failures.
-    pub fn record_failure(&self, slot: usize, threshold: u64) {
-        let s = &self.slots[slot];
-        let n = s.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
-        if n >= threshold {
-            s.healthy.store(false, Ordering::SeqCst);
-        }
+        self.slots[slot].healthy.store(true, Ordering::SeqCst);
     }
 
     /// Current address of `slot`.
@@ -610,7 +594,7 @@ impl Forwarder {
                         // stays correct to fail this key over right now.
                         // (The shard framed the line, so the attempt has
                         // a matching receive — not a failed attempt.)
-                        shared.directory.record_failure(slot, FAILURE_THRESHOLD);
+                        shared.directory.mark_down(slot);
                         shared.directory.slots[slot]
                             .failovers
                             .fetch_add(1, Ordering::Relaxed);
@@ -625,14 +609,12 @@ impl Forwarder {
                         shared.directory.slots[slot]
                             .failovers
                             .fetch_add(1, Ordering::Relaxed);
-                        match trace {
-                            Some(t) => {
-                                obs::event!("router.attempt_failed", "trace" => t, "slot" => slot, "reason" => "connection-limit")
-                            }
-                            None => {
-                                obs::event!("router.attempt_failed", "slot" => slot, "reason" => "connection-limit")
-                            }
-                        }
+                        obs::event!(
+                            "router.attempt_failed",
+                            "trace" => trace,
+                            "slot" => slot,
+                            "reason" => "connection-limit"
+                        );
                         continue;
                     }
                     shared.directory.mark_healthy(slot);
@@ -678,7 +660,7 @@ impl Forwarder {
                 self.conns.remove(&slot);
                 let client = Client::connect_with(addr, ClientConfig::fast(SHARD_TIMEOUT))
                     .map_err(|_| {
-                        shared.directory.record_failure(slot, FAILURE_THRESHOLD);
+                        shared.directory.mark_down(slot);
                         // No line was sent, so this is not a forward
                         // attempt — only a per-slot failover.
                         shared.directory.slots[slot]
@@ -696,24 +678,21 @@ impl Forwarder {
             .fetch_add(1, Ordering::Relaxed);
         // The router half of the trace-conservation ledger, co-located
         // with the `forward_attempts` increment it audits.
-        match trace {
-            Some(t) => obs::event!("router.forward_attempt", "trace" => t, "slot" => slot),
-            None => obs::event!("router.forward_attempt", "slot" => slot),
-        }
+        obs::event!("router.forward_attempt", "trace" => trace, "slot" => slot);
         match conn.client.call_raw(line) {
             Ok(resp) => Some(resp),
             Err(_) => {
                 self.conns.remove(&slot);
-                shared.directory.record_failure(slot, FAILURE_THRESHOLD);
+                shared.directory.mark_down(slot);
                 shared.directory.slots[slot]
                     .failovers
                     .fetch_add(1, Ordering::Relaxed);
-                match trace {
-                    Some(t) => {
-                        obs::event!("router.attempt_failed", "trace" => t, "slot" => slot, "reason" => "io")
-                    }
-                    None => obs::event!("router.attempt_failed", "slot" => slot, "reason" => "io"),
-                }
+                obs::event!(
+                    "router.attempt_failed",
+                    "trace" => trace,
+                    "slot" => slot,
+                    "reason" => "io"
+                );
                 None
             }
         }
@@ -848,10 +827,7 @@ fn handle_request(
                 }
             }
             let line = spliced.as_deref().unwrap_or(line);
-            let _span = match trace {
-                Some(t) => obs::span!("router.request", "trace" => t),
-                None => obs::span!("router.request"),
-            };
+            let _span = obs::span!("router.request", "trace" => trace);
             forwarder.forward(shared, hash, id, line, trace)
         }
     }
@@ -967,7 +943,7 @@ fn prober_loop(shared: &RouterShared) {
             if alive {
                 shared.directory.mark_healthy(slot);
             } else {
-                shared.directory.record_failure(slot, FAILURE_THRESHOLD);
+                shared.directory.mark_down(slot);
             }
         }
         // Sleep in small slices so drain is observed promptly.
@@ -1021,10 +997,9 @@ mod tests {
         dir.set_addr(0, addr);
         assert_eq!(dir.live_slots(), vec![0]);
         assert_eq!(dir.generation(0), 1);
-        dir.record_failure(0, 2);
-        assert!(dir.is_healthy(0), "below threshold");
-        dir.record_failure(0, 2);
-        assert!(!dir.is_healthy(0), "threshold downs the slot");
+        dir.mark_down(0);
+        assert!(!dir.is_healthy(0), "a failure downs the slot");
+        assert_eq!(dir.live_slots(), Vec::<usize>::new());
         dir.set_addr(0, addr);
         assert!(dir.is_healthy(0), "re-assignment revives");
         assert_eq!(dir.generation(0), 2, "generation bumped");
